@@ -12,7 +12,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import sys
 
 import numpy as np
@@ -97,33 +96,27 @@ def _field(ns, params) -> flows.VectorField:
     return flows.VectorField(_c(ns, "alpha"), _c(ns, "beta"))
 
 
-def _add_domain_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--domain", required=True,
-                   choices=["level-band", "sub-level", "super-level",
-                            "nemirovskii"])
-    p.add_argument("--k1", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
+# CLI domain kind -> (spec class, flags passed to it as keyword arguments)
+_DOMAIN_KINDS = {
+    "level-band": (domains.LevelBand, ("k1", "k2")),
+    "sub-level": (domains.SubLevel, ("k",)),
+    "super-level": (domains.SuperLevel, ("k",)),
+    "nemirovskii": (domains.Nemirovskii, ("A", "B")),
+}
+
+
+def _add_domain_flags(p: argparse.ArgumentParser, required=True) -> None:
+    p.add_argument("--domain", required=required, choices=list(_DOMAIN_KINDS))
+    for flag in dict.fromkeys(f for _, fs in _DOMAIN_KINDS.values() for f in fs):
+        p.add_argument(f"--{flag}", type=float)
 
 
 def _domain(ns):
-    if ns.domain == "level-band":
-        if ns.k1 is None or ns.k2 is None:
-            raise InvalidInputError("level-band needs --k1 and --k2")
-        return domains.LevelBand(k1=ns.k1, k2=ns.k2)
-    if ns.domain == "sub-level":
-        if ns.k is None:
-            raise InvalidInputError("sub-level needs --k")
-        return domains.SubLevel(k=ns.k)
-    if ns.domain == "super-level":
-        if ns.k is None:
-            raise InvalidInputError("super-level needs --k")
-        return domains.SuperLevel(k=ns.k)
-    if ns.A is None or ns.B is None:
-        raise InvalidInputError("nemirovskii needs --A and --B")
-    return domains.Nemirovskii(A=ns.A, B=ns.B)
+    cls, flags = _DOMAIN_KINDS[ns.domain]
+    if any(getattr(ns, f) is None for f in flags):
+        raise InvalidInputError(f"{ns.domain} needs "
+                                + " and ".join(f"--{f}" for f in flags))
+    return cls(**{f: getattr(ns, f) for f in flags})
 
 
 def _parse_terms(text: str) -> poly.RealPoly2:
@@ -205,14 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_mode_flags(p)
     p.add_argument("--what", choices=["orbit", "domain"], required=True)
     _add_field_flags(p)
-    p.add_argument("--domain",
-                   choices=["level-band", "sub-level", "super-level",
-                            "nemirovskii"])
-    p.add_argument("--k1", type=float)
-    p.add_argument("--k2", type=float)
-    p.add_argument("--k", type=float)
-    p.add_argument("--A", type=float)
-    p.add_argument("--B", type=float)
+    _add_domain_flags(p, required=False)
 
     p = sub.add_parser("tangency", help="is a domain boundary flow-invariant?")
     _add_params_flags(p)

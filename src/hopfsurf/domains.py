@@ -13,6 +13,15 @@ signed boundary residual (negative strictly inside):
     ImplicitDomain(psi) caller-supplied residual, evaluated on the reduced
                         representative
 
+The level kinds share one log-ratio interval lo < log k < hi; an infinite
+end adds that end's coordinate torus.  Each kind is a DomainSpec subclass
+holding all of its rules: a new kind implements residual(z, w, params, inv)
+on the reduced representative and classify(inv), its table row, and may
+override smooth_residual(point, params, inv), the branch Levi scans
+difference (default: the reducing evaluator), translate(anchor, params, inv)
+(default: a GenericTranslate) and boundary_point(z, params, inv, rng)
+(default: bisection along |w|).
+
 Translation moves a domain to a reference frame centered at an anchor point
 (coordinatewise division), which turns the Nemirovskii family into a
 half-plane in the w-coordinate whose distance to the identity is exactly
@@ -23,7 +32,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,8 +41,36 @@ from scipy.optimize import minimize_scalar
 from .errors import (CaseError, EvaluationError, InvalidInputError,
                      PreconditionError)
 from .invariants import HopfParams, InvariantSet, _arg01
-from .quotient import reduce_point, u_value
+from .quotient import reduce_point
 from .flows import VectorField, flow_point
+
+
+def _require_real_b(params: HopfParams) -> None:
+    if params.b.imag != 0.0 or params.b.real <= 1.0:
+        raise PreconditionError(
+            "the half-plane family needs a real second multiplier > 1 "
+            f"(got b = {params.b})")
+
+
+def _log_ratio(z: complex, w: complex, rho: float) -> float:
+    """log(|w| / |z|^rho); +-inf on the coordinate tori."""
+    if w == 0:
+        return -math.inf
+    if z == 0:
+        return math.inf
+    return math.log(abs(w)) - rho * math.log(abs(z))
+
+
+def _interval_residual(L: float, lo: float, hi: float) -> float:
+    """max(lo - L, L - hi), or -+inf on a torus inside/outside (not NaN)."""
+    if not math.isfinite(L):
+        return -math.inf if L in (lo, hi) else math.inf
+    return max(lo - L, L - hi)
+
+
+def _random_annulus(rng, radius_hi: float) -> complex:
+    r = math.exp(rng.uniform(math.log(radius_hi) - 1.5, math.log(radius_hi)))
+    return r * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
 
 
 # ---------------------------------------------------------------------------
@@ -41,35 +78,160 @@ from .flows import VectorField, flow_point
 
 
 @dataclass(frozen=True)
-class LevelBand:
+class SteinVerdict:
+    status: str  # "Stein" | "NotStein" | "Undetermined"
+    witness: Optional[str] = None
+    reason: str = ""
+
+
+@dataclass(frozen=True)
+class ClassificationResult:
+    theorem_type: str
+    verdict: SteinVerdict
+    notes: tuple = ()
+
+    def to_dict(self) -> dict:
+        return {"theorem_type": self.theorem_type,
+                "status": self.verdict.status,
+                "witness": self.verdict.witness,
+                "reason": self.verdict.reason,
+                "notes": list(self.notes)}
+
+
+class DomainSpec:
+    """Base of the domain kinds; the module docstring lists its methods."""
+
+    def smooth_residual(self, point, params, inv=None) -> Callable:
+        """A locally smooth defining function matching the spec near point
+        (the reducing evaluator jumps across the shell faces)."""
+        return lambda zz, ww: evaluate_domain(self, (zz, ww), params,
+                                              inv).residual
+
+    def translate(self, anchor, params, inv) -> TranslatedDomain:
+        z0, w0 = complex(anchor[0]), complex(anchor[1])
+        return GenericTranslate(residual_fn=lambda xi, eta: evaluate_domain(
+            self, (xi * z0, eta * w0), params, inv).residual)
+
+    def boundary_point(self, z, params, inv, rng):
+        """Bisect along |w| between inside and outside samples, or None."""
+        base = _random_annulus(rng, abs(params.b))
+        scales = np.exp(np.linspace(-3.0, 3.0, 25))
+        res = [evaluate_domain(self, (z, base * s), params, inv).residual
+               for s in scales]
+        for i in range(len(scales) - 1):
+            if res[i] == 0 or (res[i] < 0) != (res[i + 1] < 0):
+                lo, hi = scales[i], scales[i + 1]
+                for _ in range(80):
+                    mid = math.sqrt(lo * hi)
+                    rm = evaluate_domain(self, (z, base * mid), params,
+                                         inv).residual
+                    if (rm < 0) == (res[i] < 0):
+                        lo = mid
+                    else:
+                        hi = mid
+                return z, base * math.sqrt(lo * hi)
+        return None
+
+
+def _check_spec(spec) -> None:
+    if not isinstance(spec, DomainSpec):
+        raise InvalidInputError(f"unknown domain spec {spec!r}")
+
+
+class LevelUnion(DomainSpec):
+    """Levels |w| = k |z|^rho, lo < log k < hi; subclasses set log_bounds."""
+
+    def residual(self, z, w, params, inv):
+        return _interval_residual(_log_ratio(z, w, params.rho),
+                                  *self.log_bounds)
+
+    def smooth_residual(self, point, params, inv=None):
+        (lo, hi), rho = self.log_bounds, params.rho
+        L = math.log(abs(point[1])) - rho * math.log(abs(point[0]))
+        if lo - L >= L - hi:
+            return lambda zz, ww: (lo - math.log(abs(ww))
+                                   + rho * math.log(abs(zz)))
+        return lambda zz, ww: math.log(abs(ww)) - rho * math.log(abs(zz)) - hi
+
+    def translate(self, anchor, params, inv):
+        # the raw anchor, not its reduced representative, which agrees
+        # only up to rounding: the recentering divides by the anchor itself
+        L0 = _log_ratio(complex(anchor[0]), complex(anchor[1]), params.rho)
+        if not math.isfinite(L0):
+            raise EvaluationError("anchor on a coordinate torus does not "
+                                  "recenter a modulus region")
+        lo, hi = self.log_bounds
+        return ModulusRegion(log_k1=lo - L0, log_k2=hi - L0, rho=params.rho)
+
+    def boundary_point(self, z, params, inv, rng):
+        # z is redrawn: pick |w| in a moderate window and solve
+        # |w| = k |z|^rho for |z|; keeping both moduli away from 0
+        # conditions the numeric Levi test of the log-type residual
+        ends = [e for e in self.log_bounds if math.isfinite(e)]
+        # only a two-sided band draws which end to sample
+        log_k = ends[0] if len(ends) == 1 or rng.random() < 0.5 else ends[1]
+        lw = rng.uniform(-0.3, math.log(abs(params.b)))
+        z = math.exp((lw - log_k) / params.rho) * cmath.exp(
+            1j * rng.uniform(0, 2 * math.pi))
+        w = math.exp(lw) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
+        return z, w
+
+
+def _level_row(theorem_type: str, k: float, reason: str):
+    return ClassificationResult(
+        theorem_type=theorem_type,
+        verdict=SteinVerdict(status="NotStein",
+                             witness=f"level hypersurface k = {k:.12g}",
+                             reason=reason))
+
+
+_ONE_SIDED = "one-sided level union; every interior level is compact"
+
+
+@dataclass(frozen=True)
+class LevelBand(LevelUnion):
     k1: float
     k2: float
 
     def __post_init__(self):
         if not (0.0 < self.k1 < self.k2):
             raise InvalidInputError("need 0 < k1 < k2")
+        object.__setattr__(self, "log_bounds",
+                           (math.log(self.k1), math.log(self.k2)))
+
+    def classify(self, inv):
+        return _level_row("A1", math.sqrt(self.k1 * self.k2),
+                          "contains a compact Levi-flat level hypersurface")
 
 
 @dataclass(frozen=True)
-class SubLevel:
+class SubLevel(LevelUnion):
     k: float
 
     def __post_init__(self):
         if not self.k > 0.0:
             raise InvalidInputError("need k > 0")
+        object.__setattr__(self, "log_bounds", (-math.inf, math.log(self.k)))
+
+    def classify(self, inv):
+        return _level_row("A2prime", self.k / 2, _ONE_SIDED)
 
 
 @dataclass(frozen=True)
-class SuperLevel:
+class SuperLevel(LevelUnion):
     k: float
 
     def __post_init__(self):
         if not self.k > 0.0:
             raise InvalidInputError("need k > 0")
+        object.__setattr__(self, "log_bounds", (math.log(self.k), math.inf))
+
+    def classify(self, inv):
+        return _level_row("A2doubleprime", 2 * self.k, _ONE_SIDED)
 
 
 @dataclass(frozen=True)
-class LeafFamily:
+class LeafFamily(DomainSpec):
     """Union of compact leaves with labels in a region of P^1.
 
     residual_fn is a signed boundary residual on leaf labels (complex, or
@@ -82,9 +244,39 @@ class LeafFamily:
     contains0: bool = False
     containsInf: bool = False
 
+    def residual(self, z, w, params, inv):
+        if inv is None or inv.case_tag != "CaseB2":
+            raise CaseError("leaf families need rational invariants "
+                            "(pass the derived invariant set, CaseB2)")
+        if w == 0:
+            return 0.0 if self.contains0 else float(self.residual_fn(0j))
+        if z == 0:
+            return 0.0 if self.containsInf else float(self.residual_fn(math.inf))
+        qp = inv.q / inv.p
+        c = w / ((abs(z) ** qp) * cmath.exp(1j * qp * _arg01(z)))
+        return min(float(self.residual_fn(c * k)) for k in inv.K)
+
+    def classify(self, inv):
+        if inv.case_tag != "CaseB2":
+            raise CaseError("leaf families need both invariants rational")
+        notes = ()
+        if self.contains0 and self.containsInf:
+            notes = ("0 and infinity lie on the region boundary: both "
+                     "coordinate tori are boundary components",
+                     "whether every such pseudoconvex domain is of this "
+                     "leaf-union form remains undetermined; only the "
+                     "explicit family is classified here")
+        return ClassificationResult(
+            theorem_type="B2",
+            verdict=SteinVerdict(
+                status="NotStein",
+                witness="compact leaf over any interior label",
+                reason="a union of compact leaves contains compact curves"),
+            notes=notes)
+
 
 @dataclass(frozen=True)
-class Nemirovskii:
+class Nemirovskii(DomainSpec):
     """Half-plane domain {A Re w + B Im w < 0} x C_z, A^2 + B^2 = 1, A >= 0."""
 
     A: float
@@ -101,58 +293,56 @@ class Nemirovskii:
         object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
 
-    @property
-    def inward_normal(self) -> complex:
-        return -complex(self.A, self.B)
+    def residual(self, z, w, params, inv):
+        _require_real_b(params)
+        return self.A * w.real + self.B * w.imag
+
+    def smooth_residual(self, point, params, inv=None):
+        return lambda zz, ww: self.A * ww.real + self.B * ww.imag
+
+    def translate(self, anchor, params, inv):
+        # an inside anchor has w != 0, since the residual vanishes there
+        rp = reduce_point(anchor, params)
+        return ProductHalfPlane(
+            theta=cmath.phase(rp.rep_w * -complex(self.A, -self.B)))
+
+    def boundary_point(self, z, params, inv, rng):
+        t = math.exp(rng.uniform(0.0, math.log(params.b.real)))
+        sgn = 1.0 if rng.random() < 0.5 else -1.0
+        return z, sgn * t * complex(-self.B, self.A)
+
+    def classify(self, inv):
+        _require_real_b(inv.params)
+        return ClassificationResult(
+            theorem_type="NemirovskiiStein",
+            verdict=SteinVerdict(
+                status="Stein",
+                reason="half-plane quotient: Stein with Levi-flat boundary"))
 
 
 @dataclass(frozen=True)
-class ImplicitDomain:
+class ImplicitDomain(DomainSpec):
     psi: Callable  # (z, w) -> real residual, evaluated on the reduced rep
 
+    def residual(self, z, w, params, inv):
+        return float(self.psi(z, w))
 
-DOMAIN_KINDS = (LevelBand, SubLevel, SuperLevel, LeafFamily, Nemirovskii,
-                ImplicitDomain)
+    def smooth_residual(self, point, params, inv=None):
+        return self.psi
 
-
-def spec_to_dict(spec) -> dict:
-    """JSON-friendly description; callables are recorded by presence only."""
-    if isinstance(spec, LevelBand):
-        return {"kind": "LevelBand", "k1": spec.k1, "k2": spec.k2}
-    if isinstance(spec, SubLevel):
-        return {"kind": "SubLevel", "k": spec.k}
-    if isinstance(spec, SuperLevel):
-        return {"kind": "SuperLevel", "k": spec.k}
-    if isinstance(spec, LeafFamily):
-        return {"kind": "LeafFamily", "contains0": spec.contains0,
-                "containsInf": spec.containsInf, "residual_fn": "<callable>"}
-    if isinstance(spec, Nemirovskii):
-        return {"kind": "Nemirovskii", "A": spec.A, "B": spec.B}
-    if isinstance(spec, ImplicitDomain):
-        return {"kind": "Implicit", "psi": "<callable>"}
-    raise InvalidInputError(f"unknown domain spec {spec!r}")
-
-
-def _require_real_b(params: HopfParams) -> None:
-    if params.b.imag != 0.0 or params.b.real <= 1.0:
-        raise PreconditionError(
-            "the half-plane family needs a real second multiplier > 1 "
-            f"(got b = {params.b})")
+    def classify(self, inv):
+        return ClassificationResult(
+            theorem_type="SteinCandidate",
+            verdict=SteinVerdict(
+                status="Undetermined",
+                reason="implicit residual; run the pseudoconvexity scan and "
+                       "the Robin-constant experiments for evidence"))
 
 
 @dataclass(frozen=True)
 class EvalResult:
     residual: float
     inside: bool
-
-
-def _log_ratio(z: complex, w: complex, rho: float) -> float:
-    """log(|w| / |z|^rho); +-inf on the coordinate tori."""
-    if w == 0:
-        return -math.inf
-    if z == 0:
-        return math.inf
-    return math.log(abs(w)) - rho * math.log(abs(z))
 
 
 def evaluate_domain(spec, pt, params: HopfParams,
@@ -162,122 +352,14 @@ def evaluate_domain(spec, pt, params: HopfParams,
     The point is reduced first, so the answer depends only on its orbit.
     LeafFamily needs the invariant set (both invariants rational).
     """
-    rp = reduce_point(pt, params)
-    z, w = rp.rep
-    rho = params.rho
-
-    if isinstance(spec, LevelBand):
-        L = _log_ratio(z, w, rho)
-        if not math.isfinite(L):
-            return EvalResult(math.inf, False)
-        r = max(math.log(spec.k1) - L, L - math.log(spec.k2))
-        return EvalResult(r, r < 0)
-    if isinstance(spec, SubLevel):
-        r = _log_ratio(z, w, rho) - math.log(spec.k)
-        return EvalResult(r, r < 0)
-    if isinstance(spec, SuperLevel):
-        r = math.log(spec.k) - _log_ratio(z, w, rho)
-        return EvalResult(r, r < 0)
-    if isinstance(spec, LeafFamily):
-        if inv is None or inv.case_tag != "CaseB2":
-            raise CaseError("leaf families need rational invariants "
-                            "(pass the derived invariant set, CaseB2)")
-        if w == 0:
-            r = 0.0 if spec.contains0 else float(spec.residual_fn(0j))
-            return EvalResult(r, r < 0)
-        if z == 0:
-            r = 0.0 if spec.containsInf else float(spec.residual_fn(math.inf))
-            return EvalResult(r, r < 0)
-        qp = inv.q / inv.p
-        pr = (abs(z) ** qp) * cmath.exp(1j * qp * _arg01(z))
-        c = w / pr
-        r = min(float(spec.residual_fn(c * k)) for k in inv.K)
-        return EvalResult(r, r < 0)
-    if isinstance(spec, Nemirovskii):
-        _require_real_b(params)
-        r = spec.A * w.real + spec.B * w.imag
-        return EvalResult(r, r < 0)
-    if isinstance(spec, ImplicitDomain):
-        r = float(spec.psi(z, w))
-        return EvalResult(r, r < 0)
-    raise InvalidInputError(f"unknown domain spec {spec!r}")
+    _check_spec(spec)
+    z, w = reduce_point(pt, params).rep
+    r = spec.residual(z, w, params, inv)
+    return EvalResult(r, r < 0)
 
 
 # ---------------------------------------------------------------------------
 # translation
-
-
-@dataclass(frozen=True)
-class ProductHalfPlane:
-    """C*_xi times a half-plane through 0 in eta; identity at angle theta."""
-
-    theta: float
-
-    def residual(self, xi: complex, eta: complex) -> float:
-        # inside: Re(eta e^{i theta}) > 0
-        return -(eta * cmath.exp(1j * self.theta)).real
-
-
-@dataclass(frozen=True)
-class ModulusRegion:
-    """{log_k1 < log|eta| - rho log|xi| < log_k2}; bounds may be +-inf."""
-
-    log_k1: float
-    log_k2: float
-    rho: float
-
-    def residual(self, xi: complex, eta: complex) -> float:
-        L = _log_ratio(xi, eta, self.rho)
-        return max(self.log_k1 - L, L - self.log_k2)
-
-
-@dataclass(frozen=True)
-class GenericTranslate:
-    residual_fn: Callable
-
-    def residual(self, xi: complex, eta: complex) -> float:
-        return float(self.residual_fn(xi, eta))
-
-
-def translate_domain(spec, anchor, params: HopfParams,
-                     inv: Optional[InvariantSet] = None):
-    """Recenter a domain at an interior anchor: points divide coordinatewise.
-
-    The translated domain contains the identity (1, 1).  For the half-plane
-    family the result depends only on the angular offset theta of the
-    anchor's w inside the half-plane, never on |w| or on z, and the distance
-    from the identity to the boundary is exactly cos(theta).
-    """
-    res = evaluate_domain(spec, anchor, params, inv)
-    if not res.inside:
-        raise EvaluationError(
-            f"anchor {anchor} is not inside the domain (residual {res.residual})")
-    z0, w0 = complex(anchor[0]), complex(anchor[1])
-
-    if isinstance(spec, Nemirovskii):
-        if w0 == 0:
-            raise EvaluationError("anchor on the w = 0 torus has no angular "
-                                  "offset in the half-plane")
-        rp = reduce_point(anchor, params)
-        theta = cmath.phase(rp.rep_w * -complex(spec.A, -spec.B))
-        return ProductHalfPlane(theta=theta)
-    if isinstance(spec, (LevelBand, SubLevel, SuperLevel)):
-        L0 = _log_ratio(z0, w0, params.rho)
-        if not math.isfinite(L0):
-            raise EvaluationError("anchor on a coordinate torus does not "
-                                  "recenter a modulus region")
-        if isinstance(spec, LevelBand):
-            lo, hi = math.log(spec.k1) - L0, math.log(spec.k2) - L0
-        elif isinstance(spec, SubLevel):
-            lo, hi = -math.inf, math.log(spec.k) - L0
-        else:
-            lo, hi = math.log(spec.k) - L0, math.inf
-        return ModulusRegion(log_k1=lo, log_k2=hi, rho=params.rho)
-
-    def residual_fn(xi, eta):
-        return evaluate_domain(spec, (xi * z0, eta * w0), params, inv).residual
-
-    return GenericTranslate(residual_fn=residual_fn)
 
 
 @dataclass(frozen=True)
@@ -289,28 +371,64 @@ class DistanceConfig:
     seed: int = 0
 
 
-def distance_to_identity(translated, config: DistanceConfig = DistanceConfig()
-                         ) -> tuple[float, float]:
-    """(lower, upper) bounds on the distance from (1, 1) to the boundary.
+class TranslatedDomain:
+    """Base of the recentered kinds: residual(xi, eta), distance_bounds,
+    wos_domain and seed_key.  The walk-on-spheres shapes come from robin,
+    imported inside wos_domain because robin imports this module."""
 
-    Exact for ProductHalfPlane; a bracketed one-dimensional minimization
-    (tolerance config.tol) for modulus regions; for generic translates an
-    upper bound by ray sampling and a lower bound from a caller-supplied
-    Lipschitz constant for the residual.
-    """
-    if isinstance(translated, ProductHalfPlane):
-        d = math.cos(translated.theta)
+    theta: Optional[float] = None  # angular offset, half-plane kinds only
+
+    def wos_domain(self):
+        raise EvaluationError(f"no walk-on-spheres adapter for {self!r}")
+
+    def seed_key(self) -> Optional[tuple]:
+        """Floats that identify the domain for walk sub-seeding, or None."""
+        return None
+
+
+@dataclass(frozen=True)
+class ProductHalfPlane(TranslatedDomain):
+    """C*_xi times a half-plane through 0 in eta; identity at angle theta."""
+
+    theta: float
+
+    def residual(self, xi: complex, eta: complex) -> float:
+        # inside: Re(eta e^{i theta}) > 0
+        return -(eta * cmath.exp(1j * self.theta)).real
+
+    def distance_bounds(self, config):
+        d = math.cos(self.theta)
         return (d, d)
-    if isinstance(translated, ModulusRegion):
+
+    def wos_domain(self):
+        from .robin import half_space_from_theta
+        return half_space_from_theta(self.theta)
+
+    def seed_key(self):
+        return (self.theta,)
+
+
+@dataclass(frozen=True)
+class ModulusRegion(TranslatedDomain):
+    """{log_k1 < log|eta| - rho log|xi| < log_k2}; bounds may be +-inf."""
+
+    log_k1: float
+    log_k2: float
+    rho: float
+
+    def residual(self, xi: complex, eta: complex) -> float:
+        return _interval_residual(_log_ratio(xi, eta, self.rho), self.log_k1,
+                                  self.log_k2)
+
+    def distance_bounds(self, config):
         best = math.inf
-        for lk in (translated.log_k1, translated.log_k2):
+        for lk in (self.log_k1, self.log_k2):
             if not math.isfinite(lk):
                 continue
             k = math.exp(lk)
-            rho = translated.rho
 
-            def dist2(r, k=k, rho=rho):
-                return (1.0 - r) ** 2 + (k * r ** rho - 1.0) ** 2
+            def dist2(r, k=k):
+                return (1.0 - r) ** 2 + (k * r ** self.rho - 1.0) ** 2
 
             out = minimize_scalar(dist2, bounds=(1e-12, 16.0),
                                   method="bounded",
@@ -319,8 +437,41 @@ def distance_to_identity(translated, config: DistanceConfig = DistanceConfig()
         if not math.isfinite(best):
             raise EvaluationError("region has no finite boundary")
         return (best - config.tol, best + config.tol)
-    if isinstance(translated, GenericTranslate):
-        r0 = translated.residual(1.0 + 0j, 1.0 + 0j)
+
+    def wos_domain(self):
+        from .robin import GenericSolvable
+        lo, hi, rho = self.log_k1, self.log_k2, self.rho
+
+        def dist(x):
+            x = np.atleast_2d(x)
+            rxi = np.hypot(x[:, 0], x[:, 1])
+            reta = np.hypot(x[:, 2], x[:, 3])
+            with np.errstate(divide="ignore"):
+                F = np.log(reta) - rho * np.log(rxi)
+            gap = np.minimum(F - lo, hi - F)
+            gap = np.where(np.isnan(gap), 0.0, np.maximum(gap, 0.0))
+            # local Lipschitz bound of F, halved for safety since it is not
+            # global: steps never overshoot in practice but the distance is
+            # a heuristic lower bound, flagged qualitative
+            L = np.sqrt((rho / np.maximum(rxi, 1e-300)) ** 2
+                        + (1.0 / np.maximum(reta, 1e-300)) ** 2)
+            return 0.5 * gap / L
+
+        return GenericSolvable(distance_fn=dist)
+
+    def seed_key(self):
+        return (self.log_k1, self.log_k2, self.rho)
+
+
+@dataclass(frozen=True)
+class GenericTranslate(TranslatedDomain):
+    residual_fn: Callable
+
+    def residual(self, xi: complex, eta: complex) -> float:
+        return float(self.residual_fn(xi, eta))
+
+    def distance_bounds(self, config):
+        r0 = self.residual(1.0 + 0j, 1.0 + 0j)
         if r0 >= 0:
             raise EvaluationError("identity is not inside the translate")
         rng = np.random.default_rng(config.seed)
@@ -331,7 +482,7 @@ def distance_to_identity(translated, config: DistanceConfig = DistanceConfig()
             dxi, deta = complex(v[0], v[1]), complex(v[2], v[3])
 
             def g(s):
-                return translated.residual(1.0 + s * dxi, 1.0 + s * deta)
+                return self.residual(1.0 + s * dxi, 1.0 + s * deta)
 
             lo, hi = 0.0, None
             s = config.tol
@@ -354,7 +505,36 @@ def distance_to_identity(translated, config: DistanceConfig = DistanceConfig()
         if config.lipschitz_bound:
             lower = abs(r0) / config.lipschitz_bound
         return (lower, upper)
-    raise InvalidInputError(f"unknown translated domain {translated!r}")
+
+
+def translate_domain(spec, anchor, params: HopfParams,
+                     inv: Optional[InvariantSet] = None) -> TranslatedDomain:
+    """Recenter a domain at an interior anchor: points divide coordinatewise.
+
+    The translated domain contains the identity (1, 1).  For the half-plane
+    family the result depends only on the angular offset theta of the
+    anchor's w inside the half-plane, never on |w| or on z, and the distance
+    from the identity to the boundary is exactly cos(theta).
+    """
+    res = evaluate_domain(spec, anchor, params, inv)
+    if not res.inside:
+        raise EvaluationError(
+            f"anchor {anchor} is not inside the domain (residual {res.residual})")
+    return spec.translate(anchor, params, inv)
+
+
+def distance_to_identity(translated, config: DistanceConfig = DistanceConfig()
+                         ) -> tuple[float, float]:
+    """(lower, upper) bounds on the distance from (1, 1) to the boundary.
+
+    Exact for ProductHalfPlane; a bracketed one-dimensional minimization
+    (tolerance config.tol) for modulus regions; for generic translates an
+    upper bound by ray sampling and a lower bound from a caller-supplied
+    Lipschitz constant for the residual.
+    """
+    if not isinstance(translated, TranslatedDomain):
+        raise InvalidInputError(f"unknown translated domain {translated!r}")
+    return translated.distance_bounds(config)
 
 
 # ---------------------------------------------------------------------------
@@ -370,57 +550,15 @@ class TangencyReport:
     tangential: bool
 
 
-def _random_annulus(rng, radius_hi: float) -> complex:
-    r = math.exp(rng.uniform(math.log(radius_hi) - 1.5, math.log(radius_hi)))
-    return r * cmath.exp(1j * rng.uniform(0.0, 2 * math.pi))
-
-
 def _boundary_samples(spec, n, params, inv, rng):
-    """Kind-aware sampling of points with (near-)zero residual."""
-    rho = params.rho
+    """Up to n points with (near-)zero residual, sampled by the spec's kind."""
+    _check_spec(spec)
     out = []
     for _ in range(n):
-        z = _random_annulus(rng, abs(params.a))
-        if isinstance(spec, (LevelBand, SubLevel, SuperLevel)):
-            if isinstance(spec, LevelBand):
-                k = spec.k1 if rng.random() < 0.5 else spec.k2
-            else:
-                k = spec.k
-            # pick |w| in a moderate window and solve |w| = k |z|^rho for
-            # |z|: keeping both moduli away from 0 conditions the numeric
-            # Levi test of the log-type residual
-            lw = rng.uniform(-0.3, math.log(abs(params.b)))
-            z = math.exp((lw - math.log(k)) / rho) * cmath.exp(
-                1j * rng.uniform(0, 2 * math.pi))
-            w = math.exp(lw) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        elif isinstance(spec, Nemirovskii):
-            t = math.exp(rng.uniform(0.0, math.log(params.b.real)))
-            sgn = 1.0 if rng.random() < 0.5 else -1.0
-            w = sgn * t * complex(-spec.B, spec.A)
-        else:
-            # bisect along the w-modulus direction between an inside and an
-            # outside sample, if the ray crosses the boundary
-            w = None
-            base = _random_annulus(rng, abs(params.b))
-            scales = np.exp(np.linspace(-3.0, 3.0, 25))
-            res = [evaluate_domain(spec, (z, base * s), params, inv).residual
-                   for s in scales]
-            for i in range(len(scales) - 1):
-                if res[i] == 0 or (res[i] < 0) != (res[i + 1] < 0):
-                    lo, hi = scales[i], scales[i + 1]
-                    for _ in range(80):
-                        mid = math.sqrt(lo * hi)
-                        rm = evaluate_domain(spec, (z, base * mid), params,
-                                             inv).residual
-                        if (rm < 0) == (res[i] < 0):
-                            lo = mid
-                        else:
-                            hi = mid
-                    w = base * math.sqrt(lo * hi)
-                    break
-            if w is None:
-                continue
-        out.append((z, w))
+        pt = spec.boundary_point(_random_annulus(rng, abs(params.a)), params,
+                                 inv, rng)
+        if pt is not None:
+            out.append(pt)
     return out
 
 
@@ -469,27 +607,6 @@ def tangency_check(spec, X: VectorField, n_samples: int, t_grid,
 # classification
 
 
-@dataclass(frozen=True)
-class SteinVerdict:
-    status: str  # "Stein" | "NotStein" | "Undetermined"
-    witness: Optional[str] = None
-    reason: str = ""
-
-
-@dataclass(frozen=True)
-class ClassificationResult:
-    theorem_type: str
-    verdict: SteinVerdict
-    notes: tuple = ()
-
-    def to_dict(self) -> dict:
-        return {"theorem_type": self.theorem_type,
-                "status": self.verdict.status,
-                "witness": self.verdict.witness,
-                "reason": self.verdict.reason,
-                "notes": list(self.notes)}
-
-
 def classify_domain(spec, inv: InvariantSet) -> ClassificationResult:
     """Place a domain spec in the classification table.
 
@@ -498,62 +615,8 @@ def classify_domain(spec, inv: InvariantSet) -> ClassificationResult:
     leaf; the half-plane family is Stein despite its Levi-flat boundary;
     implicit domains are not decided at the desk.
     """
-    if isinstance(spec, LevelBand):
-        kw = math.sqrt(spec.k1 * spec.k2)
-        return ClassificationResult(
-            theorem_type="A1",
-            verdict=SteinVerdict(
-                status="NotStein",
-                witness=f"level hypersurface k = {kw:.12g}",
-                reason="contains a compact Levi-flat level hypersurface"))
-    if isinstance(spec, SubLevel):
-        return ClassificationResult(
-            theorem_type="A2prime",
-            verdict=SteinVerdict(
-                status="NotStein",
-                witness=f"level hypersurface k = {spec.k / 2:.12g}",
-                reason="one-sided level union; every interior level is "
-                       "compact"))
-    if isinstance(spec, SuperLevel):
-        return ClassificationResult(
-            theorem_type="A2doubleprime",
-            verdict=SteinVerdict(
-                status="NotStein",
-                witness=f"level hypersurface k = {2 * spec.k:.12g}",
-                reason="one-sided level union; every interior level is "
-                       "compact"))
-    if isinstance(spec, LeafFamily):
-        if inv.case_tag != "CaseB2":
-            raise CaseError("leaf families need both invariants rational")
-        notes = []
-        if spec.contains0 and spec.containsInf:
-            notes.append("0 and infinity lie on the region boundary: both "
-                         "coordinate tori are boundary components")
-            notes.append("whether every such pseudoconvex domain is of this "
-                         "leaf-union form remains undetermined; only the "
-                         "explicit family is classified here")
-        return ClassificationResult(
-            theorem_type="B2",
-            verdict=SteinVerdict(
-                status="NotStein",
-                witness="compact leaf over any interior label",
-                reason="a union of compact leaves contains compact curves"),
-            notes=tuple(notes))
-    if isinstance(spec, Nemirovskii):
-        _require_real_b(inv.params)
-        return ClassificationResult(
-            theorem_type="NemirovskiiStein",
-            verdict=SteinVerdict(
-                status="Stein",
-                reason="half-plane quotient: Stein with Levi-flat boundary"))
-    if isinstance(spec, ImplicitDomain):
-        return ClassificationResult(
-            theorem_type="SteinCandidate",
-            verdict=SteinVerdict(
-                status="Undetermined",
-                reason="implicit residual; run the pseudoconvexity scan and "
-                       "the Robin-constant experiments for evidence"))
-    raise InvalidInputError(f"unknown domain spec {spec!r}")
+    _check_spec(spec)
+    return spec.classify(inv)
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +688,7 @@ def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
         if not _in_halfplane_shell(z, w, params):
             continue
         n = int(rng.integers(-5, 6))
-        zz, ww = z * params.a ** n, w * params.b ** n
-        if not ww.real > 0.0:
+        if not (w * params.b ** n).real > 0.0:
             bwd_fail += 1
 
     return QuotientIdentityReport(

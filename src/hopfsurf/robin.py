@@ -29,7 +29,7 @@ qualitative elsewhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -119,28 +119,9 @@ def identity_point() -> np.ndarray:
 
 def solvable_from_translate(translated):
     """Adapt a translated domain to the walk-on-spheres interface."""
-    if isinstance(translated, _domains.ProductHalfPlane):
-        return half_space_from_theta(translated.theta)
-    if isinstance(translated, _domains.ModulusRegion):
-        lo, hi, rho = translated.log_k1, translated.log_k2, translated.rho
-
-        def dist(x):
-            x = np.atleast_2d(x)
-            rxi = np.hypot(x[:, 0], x[:, 1])
-            reta = np.hypot(x[:, 2], x[:, 3])
-            with np.errstate(divide="ignore"):
-                F = np.log(reta) - rho * np.log(rxi)
-            gap = np.minimum(F - lo, hi - F)
-            gap = np.where(np.isnan(gap), 0.0, np.maximum(gap, 0.0))
-            # local Lipschitz bound of F, halved for safety since it is not
-            # global: steps never overshoot in practice but the distance is
-            # a heuristic lower bound, flagged qualitative
-            L = np.sqrt((rho / np.maximum(rxi, 1e-300)) ** 2
-                        + (1.0 / np.maximum(reta, 1e-300)) ** 2)
-            return 0.5 * gap / L
-
-        return GenericSolvable(distance_fn=dist)
-    raise EvaluationError(f"no walk-on-spheres adapter for {translated!r}")
+    if not isinstance(translated, _domains.TranslatedDomain):
+        raise EvaluationError(f"no walk-on-spheres adapter for {translated!r}")
+    return translated.wos_domain()
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +308,8 @@ class BoundaryRow:
     truncated_walks: int
 
 
-def _sub_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence([seed, index]).generate_state(1)[0])
+def _sub_seed(seed: int, *words: int) -> int:
+    return int(np.random.SeedSequence([seed, *words]).generate_state(1)[0])
 
 
 def _domain_seed(seed: int, td) -> int:
@@ -338,13 +319,10 @@ def _domain_seed(seed: int, td) -> int:
     streams, so the estimated proxy is identical too -- a useful control: a
     degenerate anchor family has sub-mean-value residual exactly zero.
     """
-    if isinstance(td, _domains.ProductHalfPlane):
-        key = np.array([td.theta]).view(np.uint32)
-    elif isinstance(td, _domains.ModulusRegion):
-        key = np.array([td.log_k1, td.log_k2, td.rho]).view(np.uint32)
-    else:
+    key = td.seed_key()
+    if key is None:
         return seed
-    return int(np.random.SeedSequence([seed, *map(int, key)]).generate_state(1)[0])
+    return _sub_seed(seed, *map(int, np.array(key).view(np.uint32)))
 
 
 def boundary_behavior_experiment(spec, anchors: Sequence, params,
@@ -365,10 +343,9 @@ def boundary_behavior_experiment(spec, anchors: Sequence, params,
         solvable = solvable_from_translate(td)
         est = robin_constant(solvable, identity_point(), budget.n_walks,
                              _sub_seed(budget.seed, j), config=budget.config)
-        theta = td.theta if isinstance(td, _domains.ProductHalfPlane) else None
         rows.append(BoundaryRow(
             anchor_z=complex(anchor[0]), anchor_w=complex(anchor[1]),
-            theta=theta, dist_lower=lo, dist_upper=hi,
+            theta=td.theta, dist_lower=lo, dist_upper=hi,
             lambda_hat=est.lambda_hat, stderr=est.stderr,
             n_walks=est.n_walks, truncated_walks=est.truncated_walks))
     return rows

@@ -146,3 +146,32 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["classify", "--a-re", "2", "--b-re", "3", "--what",
                   "domain", "--domain", "pretzel"])
+
+
+class TestDomainFlags:
+    @pytest.mark.parametrize("argv, message", [
+        (["classify", "--what", "domain", "--domain", "level-band",
+          "--k1", "0.5"], "level-band needs --k1 and --k2"),
+        (["classify", "--what", "domain"], "--what domain needs --domain"),
+        (["tangency", "--domain", "sub-level", "--unit-field"],
+         "sub-level needs --k"),
+        (["levi-scan", "--domain", "super-level"], "super-level needs --k"),
+        (["levi-scan", "--domain", "nemirovskii", "--A", "1"],
+         "nemirovskii needs --A and --B"),
+    ])
+    def test_missing_flag_exit_2(self, capsys, argv, message):
+        code = main(argv + ["--a-re", "2", "--b-re", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.strip() == f"error: {message}"
+
+    @pytest.mark.parametrize("domain_flags, theorem_type", [
+        (["--domain", "sub-level", "--k", "1.5"], "A2prime"),
+        (["--domain", "super-level", "--k", "1.5"], "A2doubleprime"),
+        (["--domain", "nemirovskii", "--A", "1", "--B", "0.5"],
+         "NemirovskiiStein"),
+    ])
+    def test_classify_each_kind(self, capsys, domain_flags, theorem_type):
+        code, doc = run_cli(capsys, "classify", "--a-re", "2", "--b-re", "4",
+                            "--what", "domain", *domain_flags)
+        assert code == 0
+        assert doc["theorem_type"] == theorem_type

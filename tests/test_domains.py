@@ -280,3 +280,63 @@ class TestClassificationGoldenTable:
             assert res.verdict.witness == golden[name]["witness"], name
             assert res.verdict.reason == golden[name]["reason"], name
             assert list(res.notes) == golden[name]["notes"], name
+
+
+class TestCoordinateTori:
+    """Level and leaf residuals on the two coordinate tori (w = 0, z = 0).
+
+    An infinite end of the log-ratio interval contains its torus; a finite
+    end excludes it.  No residual may be NaN there.
+    """
+
+    W0 = (1.3 + 0.2j, 0j)   # on the w = 0 torus
+    Z0 = (0j, 1.7 + 0.4j)   # on the z = 0 torus
+
+    @pytest.mark.parametrize("spec, at_w0, at_z0", [
+        (LevelBand(0.5, 2.0), math.inf, math.inf),
+        (SubLevel(1.0), -math.inf, math.inf),
+        (SuperLevel(1.5), math.inf, -math.inf),
+    ])
+    def test_level_kinds(self, spec, at_w0, at_z0):
+        for pt, want in ((self.W0, at_w0), (self.Z0, at_z0)):
+            res = evaluate_domain(spec, pt, P23, INV23)
+            assert res.residual == want
+            assert res.inside == (want < 0)
+
+    def test_leaf_family_residual_fn_on_tori(self):
+        spec = LeafFamily(residual_fn=lambda c: abs(c) - 1.0)
+        at_w0 = evaluate_domain(spec, self.W0, P2M4, INV2M4)
+        assert at_w0.residual == -1.0 and at_w0.inside
+        at_z0 = evaluate_domain(spec, self.Z0, P2M4, INV2M4)
+        assert at_z0.residual == math.inf and not at_z0.inside
+
+    def test_leaf_family_boundary_tori(self):
+        spec = LeafFamily(residual_fn=lambda c: abs(c) - 1.0, contains0=True,
+                          containsInf=True)
+        for pt in (self.W0, self.Z0):
+            res = evaluate_domain(spec, pt, P2M4, INV2M4)
+            assert res.residual == 0.0 and not res.inside
+
+
+class TestNonSpecInput:
+    """Objects that are not domain specs fail as input errors, which the CLI
+    maps to exit code 2, never as AttributeError."""
+
+    @pytest.mark.parametrize("bad", [object(), 3.0, None, "level-band"])
+    def test_entry_points_raise_input_error(self, bad):
+        from hopfsurf.levi import pseudoconvexity_scan
+
+        calls = [
+            lambda: evaluate_domain(bad, (1.3 + 0j, 1.5 + 0j), P23, INV23),
+            lambda: translate_domain(bad, (1.3 + 0j, 1.5 + 0j), P23, INV23),
+            lambda: classify_domain(bad, INV23),
+            lambda: tangency_check(bad, unit_field(P23), 5, [0.5], 1e-9,
+                                   P23, seed=0, inv=INV23),
+            lambda: pseudoconvexity_scan(bad, 5, 1e-6, P23, seed=0,
+                                         inv=INV23),
+            lambda: distance_to_identity(bad),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError):
+                call()
+        assert issubclass(InvalidInputError, ValueError)
