@@ -294,12 +294,14 @@ def _run(ns) -> None:
 
     elif ns.cmd == "reduce":
         params = _params(ns)
-        pt = quotient.reduce_point((_c(ns, "z"), _c(ns, "w")), params)
+        zw = (_c(ns, "z"), _c(ns, "w"))
+        pt = quotient.reduce_point(zw, params)
         payload = {"rep_z": _pair(pt.rep_z), "rep_w": _pair(pt.rep_w),
                    "lift_index": pt.lift_index,
                    "on_Ta": pt.on_Ta, "on_Tb": pt.on_Tb}
         if not (pt.on_Ta or pt.on_Tb):
-            payload["u"] = quotient.u_value(pt.rep, params)
+            u_pt = pt.rep if 0 not in pt.rep else zw  # a rep can underflow
+            payload["u"] = quotient.u_value(u_pt, params)
         _emit(payload, "reduce")
 
     elif ns.cmd == "flow":

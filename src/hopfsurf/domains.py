@@ -41,7 +41,7 @@ from scipy.optimize import minimize_scalar
 from .errors import (CaseError, EvaluationError, InvalidInputError,
                      PreconditionError)
 from .invariants import HopfParams, InvariantSet, _arg01
-from .quotient import reduce_point
+from .quotient import _in_fundamental_domain, _log_modulus, reduce_point
 from .flows import VectorField, flow_point
 
 
@@ -53,12 +53,10 @@ def _require_real_b(params: HopfParams) -> None:
 
 
 def _log_ratio(z: complex, w: complex, rho: float) -> float:
-    """log(|w| / |z|^rho); +-inf on the coordinate tori."""
+    """log(|w| / |z|^rho); +-inf on the coordinate tori (-inf at w = 0)."""
     if w == 0:
         return -math.inf
-    if z == 0:
-        return math.inf
-    return math.log(abs(w)) - rho * math.log(abs(z))
+    return _log_modulus(w) - rho * _log_modulus(z)
 
 
 def _interval_residual(L: float, lo: float, hi: float) -> float:
@@ -616,6 +614,8 @@ def classify_domain(spec, inv: InvariantSet) -> ClassificationResult:
     implicit domains are not decided at the desk.
     """
     _check_spec(spec)
+    if not isinstance(inv, InvariantSet):
+        raise InvalidInputError(f"not an invariant set: {inv!r}")
     return spec.classify(inv)
 
 
@@ -631,17 +631,6 @@ class QuotientIdentityReport:
     backward_failures: int
     shell_inner_count: int  # reduced reps with 1 < |w| (first product set)
     shell_outer_count: int  # reduced reps with |z| > 1 (second product set)
-
-
-def _in_halfplane_shell(z: complex, w: complex, params: HopfParams) -> bool:
-    A, B = abs(params.a), params.b.real
-    if w.real <= 0.0:
-        return False
-    if abs(z) <= A and 1.0 < abs(w) <= B:
-        return True
-    if 1.0 < abs(z) <= A and abs(w) <= B:
-        return True
-    return False
 
 
 def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
@@ -666,7 +655,7 @@ def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
         w = math.exp(rng.uniform(-3 * lb, 3 * lb)) \
             * cmath.exp(1j * rng.uniform(-math.pi / 2, math.pi / 2))
         rp = reduce_point((z, w), params)
-        if not _in_halfplane_shell(rp.rep_z, rp.rep_w, params):
+        if not (rp.rep_w.real > 0 and _in_fundamental_domain(*rp.rep, params)):
             fwd_fail += 1
             continue
         if abs(rp.rep_w) > 1.0 and abs(rp.rep_z) <= 1.0:
@@ -685,7 +674,7 @@ def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
                 * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
             wm = math.exp(rng.uniform(-3.0, lb))
         w = wm * cmath.exp(1j * rng.uniform(-math.pi / 2, math.pi / 2))
-        if not _in_halfplane_shell(z, w, params):
+        if not (w.real > 0 and _in_fundamental_domain(z, w, params)):
             continue
         n = int(rng.integers(-5, 6))
         if not (w * params.b ** n).real > 0.0:

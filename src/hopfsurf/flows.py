@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import CaseError, EvaluationError, InvalidInputError
+from .errors import EvaluationError, InvalidInputError
 from .invariants import TWO_PI, HopfParams, InvariantSet, _arg01
 from .quotient import HopfPoint, reduce_point
 

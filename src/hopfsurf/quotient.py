@@ -20,12 +20,16 @@ complement of the tori.
 
 from __future__ import annotations
 
+import cmath
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
 
 from .errors import CaseError, EvaluationError, InvalidInputError
 from .invariants import HopfParams, InvariantSet
+
+_LN2 = math.log(2.0)
+_DBL_MIN = sys.float_info.min  # the smallest normal float
 
 
 @dataclass(frozen=True)
@@ -53,11 +57,7 @@ class HopfPoint:
 def _in_fundamental_domain(z: complex, w: complex, params: HopfParams) -> bool:
     az, aw = abs(z), abs(w)
     A, B = abs(params.a), abs(params.b)
-    if az <= A and 1.0 < aw <= B:   # E1
-        return True
-    if 1.0 < az <= A and aw <= B:   # E2
-        return True
-    return False
+    return (az <= A and 1.0 < aw <= B) or (1.0 < az <= A and aw <= B)  # E1, E2
 
 
 def _shell_violation(z: complex, w: complex, params: HopfParams) -> float:
@@ -69,54 +69,71 @@ def _shell_violation(z: complex, w: complex, params: HopfParams) -> float:
     return min(e1, e2)
 
 
+def _log_modulus(x: complex) -> float:
+    """log|x|, -inf at 0; x is scaled by a power of two first where abs(x)
+    would overflow (above DBL_MAX) or lose bits (below the smallest normal)."""
+    try:
+        r = abs(x)
+        if r >= _DBL_MIN:
+            return math.log(r)
+    except OverflowError:
+        pass
+    if x == 0:
+        return -math.inf
+    k = math.frexp(max(abs(x.real), abs(x.imag)))[1]
+    y = complex(math.ldexp(x.real, -k), math.ldexp(x.imag, -k))
+    return math.log(abs(y)) + k * _LN2
+
+
+def _deck_divide(x: complex, c: complex, n: int, log_c: float) -> complex:
+    """x / c**n; from |n| log|c| = 708 on, where c**n leaves the normal floats,
+    |c|**-n = 2**e is applied as ldexp by ceil(e) times 2**(e - ceil(e))."""
+    if abs(n) * log_c < 708.0:
+        return x / c**n
+    e = -n * log_c / _LN2
+    k = math.ceil(e)
+    y = complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
+    return y * 2.0**(e - k) / (c / abs(c))**n
+
+
+def _quotient_point(pt) -> tuple[complex, complex]:
+    z, w = complex(pt[0]), complex(pt[1])
+    if not (cmath.isfinite(z) and cmath.isfinite(w)):
+        name, x = ("w", w) if cmath.isfinite(z) else ("z", z)
+        raise InvalidInputError(f"coordinate {name} = {x} is not finite")
+    if z == 0 and w == 0:
+        raise InvalidInputError("(0, 0) does not represent a quotient point")
+    return z, w
+
+
 def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
     """Reduce (z, w) != (0, 0) to its representative in F.
 
-    The candidate lift index is read off from log|w|/log|b| (and from
-    log|z|/log|a| when that coordinate is nonzero); a window of +-1 around
-    each candidate is tested and the smallest qualifying index wins, which
-    makes the choice on the glued boundary circles deterministic.
+    F = {|z| <= |a|, |w| <= |b|} minus the closed unit bidisc, so the lift
+    index is ceil(t) - 1 with t = max(log|z|/log|a|, log|w|/log|b|).  Of
+    the window floor(t) + (-1, 0, 1), which absorbs the rounding of t, the
+    smallest index with its representative in F wins (deterministic on the
+    glued outer faces), else the one of least shell violation if <= 1e-12.
+
+    Raises InvalidInputError for the origin or a NaN/inf coordinate, and
+    EvaluationError when no index comes within 1e-12 of F: that takes a
+    multiplier so close to the unit circle that the rounding of log|a|
+    moves t by more than one (e.g. |a| - 1 = 6e-14 with z subnormal).
     """
-    z, w = complex(pt[0]), complex(pt[1])
-    if z == 0 and w == 0:
-        raise InvalidInputError("(0, 0) does not represent a quotient point")
-
-    candidates: set[int] = set()
-    if w != 0:
-        n0 = math.floor(math.log(abs(w)) / params.log_abs_b)
-        candidates.update((n0 - 1, n0, n0 + 1))
-    if z != 0:
-        n0 = math.floor(math.log(abs(z)) / params.log_abs_a)
-        candidates.update((n0 - 1, n0, n0 + 1))
-
-    for n in sorted(candidates):
-        rz = z / params.a**n
-        rw = w / params.b**n
+    z, w = _quotient_point(pt)
+    la, lb = params.log_abs_a, params.log_abs_b
+    n0 = math.floor(max(_log_modulus(z) / la, _log_modulus(w) / lb))
+    window = [(n, _deck_divide(z, params.a, n, la),
+               _deck_divide(w, params.b, n, lb)) for n in (n0 - 1, n0, n0 + 1)]
+    for n, rz, rw in window:
         if _in_fundamental_domain(rz, rw, params):
             return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
                              on_Ta=(w == 0), on_Tb=(z == 0))
-    # Rounding on the shell boundary can in principle push both windows off
-    # by one; widen once before giving up.
-    lo, hi = min(candidates) - 2, max(candidates) + 2
-    for n in range(lo, hi + 1):
-        rz = z / params.a**n
-        rw = w / params.b**n
-        if _in_fundamental_domain(rz, rw, params):
-            return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
-                             on_Ta=(w == 0), on_Tb=(z == 0))
-    # A point within a few ulps of the glued shell boundary (e.g. |w| one
-    # rounding step above |b| while |w| / |b| rounds to exactly 1) can fail
-    # every strict inequality; accept the index with the smallest violation.
-    best_n, best_v = None, math.inf
-    for n in range(lo, hi + 1):
-        rz = z / params.a**n
-        rw = w / params.b**n
-        v = _shell_violation(rz, rw, params)
-        if v < best_v:
-            best_n, best_v = n, v
-    if best_n is not None and best_v <= 1e-12:
-        return HopfPoint(rep_z=z / params.a**best_n, rep_w=w / params.b**best_n,
-                         lift_index=best_n, on_Ta=(w == 0), on_Tb=(z == 0))
+    v, n, rz, rw = min((_shell_violation(rz, rw, params), n, rz, rw)
+                       for n, rz, rw in window)
+    if v <= 1e-12:
+        return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
+                         on_Ta=(w == 0), on_Tb=(z == 0))
     raise EvaluationError(f"could not reduce {pt} into the fundamental shell")
 
 
@@ -148,17 +165,15 @@ def u_value(pt, params: HopfParams, extended: bool = False) -> float:
     U is undefined on the coordinate tori; with extended=True those return
     +inf (w = 0) and -inf (z = 0) instead of raising.
     """
-    z, w = complex(pt[0]), complex(pt[1])
-    if z == 0 and w == 0:
-        raise InvalidInputError("(0, 0) does not represent a quotient point")
+    z, w = _quotient_point(pt)
     if z == 0 or w == 0:
         if not extended:
             raise EvaluationError(
                 "U is undefined on the coordinate tori (pass extended=True "
                 "for the +-inf convention)")
         return math.inf if w == 0 else -math.inf
-    return (math.log(abs(z)) / params.log_abs_a
-            - math.log(abs(w)) / params.log_abs_b)
+    return (_log_modulus(z) / params.log_abs_a
+            - _log_modulus(w) / params.log_abs_b)
 
 
 @dataclass(frozen=True)
@@ -172,13 +187,12 @@ class LevelResidual:
 
 def level_membership(pt, c: float, params: HopfParams) -> LevelResidual:
     """Signed residual of pt against the level set S_c = {|w| = k |z|^rho}."""
-    z, w = complex(pt[0]), complex(pt[1])
+    z, w = _quotient_point(pt)
     if z == 0 or w == 0:
         raise EvaluationError("level sets do not meet the coordinate tori")
     u = u_value(pt, params)
     k = math.exp(-c * params.log_abs_b)
-    mod_res = (math.log(abs(w)) - math.log(k)
-               - params.rho * math.log(abs(z)))
+    mod_res = _log_modulus(w) - math.log(k) - params.rho * _log_modulus(z)
     return LevelResidual(residual=u - c, k=k, modulus_residual=mod_res)
 
 

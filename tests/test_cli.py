@@ -1,6 +1,7 @@
 """Tests for the command-line front end."""
 
 import json
+import math
 
 import pytest
 
@@ -49,6 +50,25 @@ class TestReduceAndFlow:
         assert doc["rep_z"] == [1.5, 0.0]
         assert doc["rep_w"] == [1.25, 0.0]
         assert doc["lift_index"] == 2
+
+    @pytest.mark.parametrize("z_re", ["inf", "-inf", "nan"])
+    def test_reduce_non_finite_exit_2(self, capsys, z_re):
+        code = main(["reduce", "--a-re", "2", "--b-re", "4",
+                     f"--z-re={z_re}", "--w-re=1"])
+        assert code == 2
+        err = capsys.readouterr().err.strip()
+        assert err == f"error: coordinate z = ({z_re}+0j) is not finite"
+
+    def test_reduce_extreme_moduli(self, capsys):
+        # rep_w underflows to 0 off the tori, so u comes from the input
+        code, doc = run_cli(capsys, "reduce", "--a-re", "2", "--b-re", "4",
+                            "--z-re=1e300", "--w-re=1e-300")
+        assert code == 0
+        assert doc["lift_index"] == 996
+        assert doc["rep_z"] == [1.4932217896051503, 0.0]
+        assert doc["rep_w"] == [0.0, 0.0]
+        assert not doc["on_Ta"]
+        assert doc["u"] == pytest.approx(300 * math.log(10) * 1.5 / math.log(2))
 
     def test_flow_unit_field_one_step(self, capsys):
         code, doc = run_cli(capsys, "flow", "--a-re", "2", "--b-re", "4",

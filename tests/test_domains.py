@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
-from hopfsurf.domains import (GenericTranslate, LeafFamily, LevelBand,
-                              ModulusRegion, Nemirovskii, ProductHalfPlane,
-                              SubLevel, SuperLevel, classify_domain,
-                              distance_to_identity, evaluate_domain,
-                              tangency_check, translate_domain,
-                              verify_nemirovskii_quotient)
+from hopfsurf.domains import (GenericTranslate, ImplicitDomain, LeafFamily,
+                              LevelBand, ModulusRegion, Nemirovskii,
+                              ProductHalfPlane, SubLevel, SuperLevel,
+                              classify_domain, distance_to_identity,
+                              evaluate_domain, tangency_check,
+                              translate_domain, verify_nemirovskii_quotient)
 from hopfsurf.errors import (CaseError, EvaluationError, InvalidInputError,
                              PreconditionError)
 from hopfsurf.flows import VectorField, unit_field
@@ -340,3 +340,13 @@ class TestNonSpecInput:
             with pytest.raises(InvalidInputError):
                 call()
         assert issubclass(InvalidInputError, ValueError)
+
+    @pytest.mark.parametrize("spec", [
+        LevelBand(0.5, 2.0), SubLevel(1.5), SuperLevel(1.5),
+        LeafFamily(residual_fn=lambda c: abs(c) - 1.0), Nemirovskii(1.0, 0.5),
+        ImplicitDomain(psi=lambda z, w: abs(w) - 1.0),
+    ])
+    @pytest.mark.parametrize("bad_inv", [None, P23, "CaseA"])
+    def test_classify_needs_invariant_set(self, spec, bad_inv):
+        with pytest.raises(InvalidInputError, match="not an invariant set"):
+            classify_domain(spec, bad_inv)

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import time
 
 import numpy as np
 import pytest
@@ -60,6 +61,55 @@ class TestReducePoint:
     def test_origin_rejected(self):
         with pytest.raises(InvalidInputError):
             reduce_point((0j, 0j), PARAMS)
+
+
+class TestExtremeModuli:
+    """Inputs whose log-moduli reach the ends of the float range."""
+
+    def test_huge_z_tiny_w(self):
+        pt = reduce_point((1e300, 1e-300), PARAMS)
+        assert pt.lift_index == 996
+        assert pt.rep == (1.4932217896051503 + 0j, 0j)
+
+    def test_smallest_subnormal_z(self):
+        pt = reduce_point((5e-324, 1), PARAMS)
+        assert pt.lift_index == -1
+        assert pt.rep == (1e-323 + 0j, 4 + 0j)
+
+    def test_u_value_of_subnormal_coordinate(self):
+        # abs() rounds to subnormal precision: |5e-324 (1 + i)| is
+        # sqrt(2) * 2**-1074, which abs() returns as 2**-1074
+        u = u_value((5e-324 + 5e-324j, 1 + 0j), PARAMS)
+        assert u == pytest.approx(-1073.5, abs=1e-12)
+
+    def test_face_point_near_unit_multipliers(self):
+        params = HopfParams(1.0000001 + 0j, 1.0000001 + 0j)
+        pt = ((-0.9986450820758603 - 0.052024994442554186j),
+              (0.148406937663945 - 0.025780001228679163j))
+        start = time.perf_counter()
+        assert reduce_point(pt, params).lift_index == -7
+        assert time.perf_counter() - start < 1.0
+
+    def test_precision_limited_error(self):
+        # |a| - 1 = 6e-14: the rounding of log|a| moves the closed-form index
+        # of a subnormal point by more than the window absorbs
+        params = HopfParams(0.32682304612350804 + 0.9450855498433356j,
+                            -0.7405273415971865 - 0.672026231889181j)
+        with pytest.raises(EvaluationError, match="could not reduce"):
+            reduce_point((8.359116867e-314 + 9.696613907e-314j, 0j), params)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     complex(1, math.inf)])
+    @pytest.mark.parametrize("fn", [
+        lambda pt: reduce_point(pt, PARAMS),
+        lambda pt: u_value(pt, PARAMS, extended=True),
+        lambda pt: level_membership(pt, 0.5, PARAMS),
+    ])
+    def test_non_finite_rejected(self, fn, bad):
+        for name, pt in (("z", (bad, 1.5)), ("w", (1.5, bad))):
+            with pytest.raises(InvalidInputError,
+                               match=f"coordinate {name} = .* is not finite"):
+                fn(pt)
 
 
 class TestEquivalent:
