@@ -300,8 +300,7 @@ def _run(ns) -> None:
                    "lift_index": pt.lift_index,
                    "on_Ta": pt.on_Ta, "on_Tb": pt.on_Tb}
         if not (pt.on_Ta or pt.on_Tb):
-            u_pt = pt.rep if 0 not in pt.rep else zw  # a rep can underflow
-            payload["u"] = quotient.u_value(u_pt, params)
+            payload["u"] = quotient.u_value(zw, params)
         _emit(payload, "reduce")
 
     elif ns.cmd == "flow":

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConsistencyError, InvalidInputError
+from .errors import CaseError, ConsistencyError, InvalidInputError
 
 TWO_PI = 2.0 * math.pi
 
@@ -313,3 +313,9 @@ def derive_invariants(params: HopfParams, mode) -> InvariantSet:
         return _finish_rational_rho(params, rho, rho_rat, p, q, tau, tau_rat)
 
     raise InvalidInputError(f"unknown mode {mode!r}")
+
+
+def require_case(inv: InvariantSet, tag: str) -> None:
+    """Raise CaseError unless inv.case_tag == tag."""
+    if inv.case_tag != tag:
+        raise CaseError(f"operation requires {tag}, invariants are {inv.case_tag}")

@@ -57,7 +57,11 @@ class HopfPoint:
 def _in_fundamental_domain(z: complex, w: complex, params: HopfParams) -> bool:
     az, aw = abs(z), abs(w)
     A, B = abs(params.a), abs(params.b)
-    return (az <= A and 1.0 < aw <= B) or (1.0 < az <= A and aw <= B)  # E1, E2
+    if az <= A and 1.0 < aw <= B:   # E1
+        return True
+    if 1.0 < az <= A and aw <= B:   # E2
+        return True
+    return False
 
 
 def _shell_violation(z: complex, w: complex, params: HopfParams) -> float:
@@ -86,14 +90,19 @@ def _log_modulus(x: complex) -> float:
 
 
 def _deck_divide(x: complex, c: complex, n: int, log_c: float) -> complex:
-    """x / c**n; from |n| log|c| = 708 on, where c**n leaves the normal floats,
-    |c|**-n = 2**e is applied as ldexp by ceil(e) times 2**(e - ceil(e))."""
+    """x / c**n.  From |n| log|c| = 708 on, where c**n leaves the normal
+    floats, or where the plain quotient overflows in its intermediate sums
+    (components of x near DBL_MAX), |c|**-n = 2**e is applied as ldexp by
+    ceil(e) times 2**(e - ceil(e)), and the phase by cmath.rect, whose
+    modulus is exact where a rounded c/|c| raised to n would drift by n eps."""
     if abs(n) * log_c < 708.0:
-        return x / c**n
+        r = x / c**n
+        if cmath.isfinite(r):
+            return r
     e = -n * log_c / _LN2
     k = math.ceil(e)
     y = complex(math.ldexp(x.real, k), math.ldexp(x.imag, k))
-    return y * 2.0**(e - k) / (c / abs(c))**n
+    return y * cmath.rect(2.0**(e - k), -n * cmath.phase(c))
 
 
 def _quotient_point(pt) -> tuple[complex, complex]:
@@ -114,27 +123,36 @@ def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
     the window floor(t) + (-1, 0, 1), which absorbs the rounding of t, the
     smallest index with its representative in F wins (deterministic on the
     glued outer faces), else the one of least shell violation if <= 1e-12.
+    A representative above DBL_MAX (|a| or |b| above about 1e154) is
+    outside F.
 
     Raises InvalidInputError for the origin or a NaN/inf coordinate, and
-    EvaluationError when no index comes within 1e-12 of F: that takes a
-    multiplier so close to the unit circle that the rounding of log|a|
-    moves t by more than one (e.g. |a| - 1 = 6e-14 with z subnormal).
+    EvaluationError when no index comes within 1e-12 of F.  Rounding moves
+    a coordinate near its face by a log-modulus of a few eps |log|x||,
+    under 4e-13 anywhere in the float range and for any |a|, |b|, so that
+    error marks a broken bound rather than an input range.
     """
     z, w = _quotient_point(pt)
     la, lb = params.log_abs_a, params.log_abs_b
     n0 = math.floor(max(_log_modulus(z) / la, _log_modulus(w) / lb))
-    window = [(n, _deck_divide(z, params.a, n, la),
-               _deck_divide(w, params.b, n, lb)) for n in (n0 - 1, n0, n0 + 1)]
-    for n, rz, rw in window:
-        if _in_fundamental_domain(rz, rw, params):
-            return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
-                             on_Ta=(w == 0), on_Tb=(z == 0))
-    v, n, rz, rw = min((_shell_violation(rz, rw, params), n, rz, rw)
-                       for n, rz, rw in window)
-    if v <= 1e-12:
-        return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
-                         on_Ta=(w == 0), on_Tb=(z == 0))
-    raise EvaluationError(f"could not reduce {pt} into the fundamental shell")
+    window = []
+    for n in (n0 - 1, n0, n0 + 1):
+        try:
+            rz = _deck_divide(z, params.a, n, la)
+            rw = _deck_divide(w, params.b, n, lb)
+            if _in_fundamental_domain(rz, rw, params):
+                break
+        except OverflowError:  # |rep| > DBL_MAX; n0 + 1 never overflows
+            continue
+        window.append((n, rz, rw))
+    else:
+        v, n, rz, rw = min((_shell_violation(rz, rw, params), n, rz, rw)
+                           for n, rz, rw in window)
+        if v > 1e-12:
+            raise EvaluationError(
+                f"could not reduce {pt} into the fundamental shell")
+    return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
+                     on_Ta=(w == 0), on_Tb=(z == 0))
 
 
 def _close(u: complex, v: complex, tol: float) -> bool:

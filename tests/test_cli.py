@@ -60,7 +60,7 @@ class TestReduceAndFlow:
         assert err == f"error: coordinate z = ({z_re}+0j) is not finite"
 
     def test_reduce_extreme_moduli(self, capsys):
-        # rep_w underflows to 0 off the tori, so u comes from the input
+        # rep_w underflows to 0 off the tori; u is read off the input
         code, doc = run_cli(capsys, "reduce", "--a-re", "2", "--b-re", "4",
                             "--z-re=1e300", "--w-re=1e-300")
         assert code == 0

@@ -9,7 +9,8 @@ import pytest
 
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
-from hopfsurf.quotient import (equivalent, leaf_equivalent, level_membership,
+from hopfsurf.quotient import (_in_fundamental_domain, _shell_violation,
+                               equivalent, leaf_equivalent, level_membership,
                                reduce_point, u_value)
 
 PARAMS = HopfParams(2 + 0j, 4 + 0j)
@@ -90,13 +91,33 @@ class TestExtremeModuli:
         assert reduce_point(pt, params).lift_index == -7
         assert time.perf_counter() - start < 1.0
 
-    def test_precision_limited_error(self):
-        # |a| - 1 = 6e-14: the rounding of log|a| moves the closed-form index
-        # of a subnormal point by more than the window absorbs
+    def test_multiplier_next_to_the_unit_circle(self):
+        # |a| - 1 = 6e-14 and z subnormal put the lift near -1.1e16; the
+        # representative still lands within the 1e-12 shell tolerance
         params = HopfParams(0.32682304612350804 + 0.9450855498433356j,
                             -0.7405273415971865 - 0.672026231889181j)
-        with pytest.raises(EvaluationError, match="could not reduce"):
-            reduce_point((8.359116867e-314 + 9.696613907e-314j, 0j), params)
+        pt = reduce_point((8.359116867e-314 + 9.696613907e-314j, 0j), params)
+        assert _shell_violation(pt.rep_z, pt.rep_w, params) <= 1e-12
+
+    @pytest.mark.parametrize("a, b, pt, lift", [
+        # |b| above 1e154: the representative of floor(t) - 1 exceeds DBL_MAX
+        (2, 1e308, (1, 1e200), 0),
+        (1.4692731895145282e96, 1.0142320547350045e304,
+         (1.6e-256 + 1.5e-257j, -9.2e-139 + 6.6e-139j), -1),
+        # components near DBL_MAX overflow the intermediate sums of z / a**n
+        (-301585687.7140995 - 700211342.3529955j,
+         186505355307.37216 - 46673010822.812325j,
+         (1.7e308 + 1.7e308j, -4.4290774321797006e-89 + 5.4e-105j), 34),
+        # |a| - 1 = 1.1e-7 at lift 6.4e9: a rounded unit factor a/|a|
+        # raised to n would drift in modulus by n eps
+        (0.5104592939898622 + 0.8599020466720462j, 1.0000001204895341,
+         (1 + 1.7e308j, 1), 6431849239),
+    ])
+    def test_reduces_at_the_multiplier_range_ends(self, a, b, pt, lift):
+        params = HopfParams(complex(a), complex(b))
+        r = reduce_point(pt, params)
+        assert r.lift_index == lift
+        assert _in_fundamental_domain(r.rep_z, r.rep_w, params)
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
                                      complex(1, math.inf)])
