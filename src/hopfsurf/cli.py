@@ -146,14 +146,13 @@ def _add_wos_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c-weight", type=float, default=0.0)
     p.add_argument("--eps-shell", type=float, default=1e-4)
     p.add_argument("--r-max-factor", type=float, default=1e3)
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--block-size", type=int, default=4096)
 
 
 def _wos_config(ns) -> robin.WosConfig:
     return robin.WosConfig(eps_shell=ns.eps_shell,
                            r_max_factor=ns.r_max_factor,
-                           shards=ns.shards, block_size=ns.block_size)
+                           block_size=ns.block_size)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -134,7 +134,16 @@ class WosConfig:
     r_max_factor: float = 1e3
     max_steps: int = 20000
     block_size: int = 4096
-    shards: int = 1
+
+    def __post_init__(self):
+        if self.block_size < 1 or self.max_steps < 1:
+            raise InvalidInputError("block_size and max_steps must be >= 1, "
+                                    f"got {self.block_size}, {self.max_steps}")
+        for name in ("eps_shell", "r_max_factor"):
+            v = getattr(self, name)
+            if not (math.isfinite(v) and v > 0):
+                raise InvalidInputError(f"{name} must be finite and > 0, "
+                                        f"got {v}")
 
 
 @dataclass(frozen=True)
@@ -165,35 +174,35 @@ def _survival_factor(r: np.ndarray, c: float) -> np.ndarray:
 
 
 def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
+    """Run nb walks from the pole, stepping and drawing for live walks only.
+
+    idx maps each live row to its walk number.  Returns (contrib, truncated,
+    escaped).
+    """
     pos = np.tile(pole, (nb, 1))
     weight = np.ones(nb)
+    idx = np.arange(nb)
     contrib = np.zeros(nb)
-    active = np.ones(nb, dtype=bool)
     escaped = 0
     for _ in range(max_steps):
         d = domain.distance(pos)
-        hit = active & (d <= eps)
+        hit = d <= eps
         if hit.any():
-            exit_pos = domain.project(pos[hit])
-            r = np.linalg.norm(exit_pos - pole, axis=-1)
+            r = np.linalg.norm(domain.project(pos[hit]) - pole, axis=-1)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
-            contrib[hit] = weight[hit] * kernel(r)
-            active &= ~hit
-        far = active & (np.linalg.norm(pos - pole, axis=-1) >= r_max)
-        if far.any():
-            escaped += int(far.sum())
-            active &= ~far
-        if not active.any():
+            contrib[idx[hit]] = weight[hit] * kernel(r)
+        far = ~hit & (np.linalg.norm(pos - pole, axis=-1) >= r_max)
+        escaped += int(far.sum())
+        keep = ~(hit | far)
+        pos, weight, d, idx = pos[keep], weight[keep], d[keep], idx[keep]
+        if not len(idx):
             return contrib, 0, escaped
-        # directions are drawn for the whole block each step so the stream
-        # consumed is independent of which walks are still alive
-        dirs = rng.standard_normal((nb, 4))
+        dirs = rng.standard_normal((len(idx), 4))
         dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
         if c_weight > 0.0:
-            weight[active] *= _survival_factor(d[active], c_weight)
-        pos[active] += d[active, None] * dirs[active]
-    truncated = int(active.sum())
-    return contrib, truncated, escaped
+            weight *= _survival_factor(d, c_weight)
+        pos += d[:, None] * dirs
+    return contrib, len(idx), escaped
 
 
 def robin_constant(domain, pole, n_walks: int, seed: int,
@@ -202,39 +211,36 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     """Monte-Carlo Robin constant of `domain` at `pole`.
 
     Deterministic for fixed (seed, n_walks, config): walks are partitioned
-    into fixed-size blocks, each block drawing from its own seed-derived
-    substream, and blocks are merged in index order -- so the estimate is
-    bit-identical no matter how many shards process the blocks.
+    into fixed-size blocks, block b drawing from its own substream
+    default_rng([seed, b]), and blocks are merged in index order -- so the
+    estimate does not depend on the order in which blocks are run.
     """
     if n_walks < 1:
         raise InvalidInputError("n_walks must be >= 1")
-    if c_weight < 0:
-        raise InvalidInputError("c_weight must be >= 0")
-    if config.shards < 1:
-        raise InvalidInputError("shards must be >= 1")
+    if not (math.isfinite(c_weight) and c_weight >= 0):
+        raise InvalidInputError("c_weight must be finite and >= 0, "
+                                f"got {c_weight}")
     pole = np.asarray(pole, dtype=float)
+    if pole.shape != (4,) or not np.isfinite(pole).all():
+        raise InvalidInputError(f"pole must be a finite 4-vector, got {pole}")
     d0 = float(domain.distance(pole[None])[0])
+    if not math.isfinite(d0):
+        raise InvalidInputError(f"distance from the pole is {d0}")
     if d0 <= config.eps_shell:
         raise EvaluationError("pole is outside the domain or within the "
                               f"termination shell (distance {d0})")
     r_max = config.r_max_factor * d0
 
-    n_blocks = (n_walks + config.block_size - 1) // config.block_size
-    results: dict[int, tuple] = {}
-    for shard in range(config.shards):
-        for b in range(shard, n_blocks, config.shards):
-            nb = min(config.block_size, n_walks - b * config.block_size)
-            rng = np.random.default_rng([seed, b])
-            results[b] = _run_block(domain, pole, nb, rng, c_weight,
-                                    config.eps_shell, r_max, config.max_steps)
-    contrib = np.concatenate([results[b][0] for b in range(n_blocks)])
-    truncated = sum(results[b][1] for b in range(n_blocks))
-    escaped = sum(results[b][2] for b in range(n_blocks))
-
+    blocks = [_run_block(domain, pole, min(config.block_size, n_walks - lo),
+                         np.random.default_rng([seed, b]), c_weight,
+                         config.eps_shell, r_max, config.max_steps)
+              for b, lo in enumerate(range(0, n_walks, config.block_size))]
+    contrib = np.concatenate([blk[0] for blk in blocks])
     lam = -float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
     return RobinEstimate(lambda_hat=lam, stderr=se, n_walks=n_walks,
-                         truncated_walks=truncated, escaped_walks=escaped,
+                         truncated_walks=sum(blk[1] for blk in blocks),
+                         escaped_walks=sum(blk[2] for blk in blocks),
                          seed=seed, c_weight=c_weight, r_max=r_max)
 
 

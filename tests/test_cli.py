@@ -149,6 +149,21 @@ class TestRobinCommands:
                      "1", "0", "1", "0", "--pole", "9", "9", "9", "9"])
         assert code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--block-size", "0"], ["--block-size", "-3"],
+        ["--pole", "nan", "0", "0", "0"], ["--eps-shell", "nan"],
+        ["--eps-shell", "-1"], ["--r-max-factor", "0"],
+        ["--c-weight", "nan"],
+    ])
+    def test_robin_bad_wos_input_exit_2(self, capsys, flags):
+        code = main(["robin", "--shape", "half-space", "--normal", "0", "0",
+                     "1", "0", "--pole", "1", "0", "1", "0", "--n-walks",
+                     "100", *flags])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_nemirovskii_verify(self, capsys):
         code, doc = run_cli(capsys, "nemirovskii-verify", "--a-re", "2",
                             "--b-re", "4", "--n-samples", "200")

@@ -8,8 +8,10 @@ import pytest
 from hopfsurf.domains import LevelBand, Nemirovskii, translate_domain
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
-from hopfsurf.robin import (Ball, ExperimentBudget, HalfSpace, WosConfig,
-                            ball_oracle, boundary_behavior_experiment,
+from hopfsurf.robin import (Ball, ExperimentBudget, GenericSolvable,
+                            HalfSpace, WosConfig, _run_block,
+                            _survival_factor, ball_oracle,
+                            boundary_behavior_experiment,
                             half_space_from_theta, half_space_oracle,
                             identity_point, kernel, product_half_plane_oracle,
                             psh_spot_check, robin_constant,
@@ -58,12 +60,21 @@ class TestRobinConstant:
         assert abs(est.lambda_hat - product_half_plane_oracle(theta)) \
             < 3 * est.stderr
 
-    def test_deterministic_across_shards(self):
+    def test_independent_of_block_order(self):
+        # the blocks run last to first, each on default_rng([seed, b]) and
+        # merged by index, reproduce the estimate bit for bit
         hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
-        values = {robin_constant(hs, E, 20_000, 777,
-                                 config=WosConfig(shards=s)).lambda_hat
-                  for s in (1, 2, 5)}
-        assert len(values) == 1
+        cfg = WosConfig()
+        n, seed = 20_000, 777
+        r_max = cfg.r_max_factor * float(hs.distance(E[None])[0])
+        starts = range(0, n, cfg.block_size)
+        merged = {b: _run_block(hs, E, min(cfg.block_size, n - lo),
+                                np.random.default_rng([seed, b]), 0.0,
+                                cfg.eps_shell, r_max, cfg.max_steps)[0]
+                  for b, lo in reversed(list(enumerate(starts)))}
+        contrib = np.concatenate([merged[b] for b in range(len(starts))])
+        assert robin_constant(hs, E, n, seed).lambda_hat \
+            == -float(np.mean(contrib))
 
     def test_monotone_in_radius(self):
         # larger domain -> larger (less negative) Robin constant
@@ -86,6 +97,120 @@ class TestRobinConstant:
         # killing lowers the exit weight, so the estimated constant moves
         # toward zero as c grows
         assert ball_oracle(1.0) < ball_oracle(1.0, c=0.5) < 0.0
+
+
+class CountingDomain:
+    """Records the number of rows of every distance call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.rows = []
+
+    def distance(self, x):
+        self.rows.append(len(x))
+        return self.inner.distance(x)
+
+    def project(self, x):
+        return self.inner.project(x)
+
+
+def masked_block(domain, nb, rng, eps, r_max, c=0.0):
+    """Reference block kernel: full-size arrays and an alive mask.
+
+    Draws the same stream as _run_block (directions for the live walks, in
+    walk order) and counts each walk's distance evaluations.
+    """
+    pos = np.tile(E, (nb, 1))
+    weight = np.ones(nb)
+    contrib = np.zeros(nb)
+    steps = np.zeros(nb, dtype=int)
+    alive = np.ones(nb, dtype=bool)
+    while alive.any():
+        a = np.flatnonzero(alive)
+        d = domain.distance(pos[a])
+        steps[a] += 1
+        hit = d <= eps
+        r = np.linalg.norm(domain.project(pos[a[hit]]) - E, axis=-1)
+        contrib[a[hit]] = weight[a[hit]] * kernel(np.maximum(r, eps))
+        far = ~hit & (np.linalg.norm(pos[a] - E, axis=-1) >= r_max)
+        alive[a[hit | far]] = False
+        live = ~(hit | far)
+        dirs = rng.standard_normal((int(live.sum()), 4))
+        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        if c > 0.0:
+            weight[a[live]] *= _survival_factor(d[live], c)
+        pos[a[live]] += d[live, None] * dirs
+    return contrib, steps
+
+
+class TestLiveWalkCompaction:
+    def test_distance_sees_live_walks_only(self):
+        hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
+        cfg = WosConfig()
+        n, seed = 20_000, 777
+        r_max = cfg.r_max_factor * 1.0
+        rows = steps = 0
+        for b, lo in enumerate(range(0, n, cfg.block_size)):
+            nb = min(cfg.block_size, n - lo)
+            dom = CountingDomain(hs)
+            contrib, truncated, _ = _run_block(
+                dom, E, nb, np.random.default_rng([seed, b]), 0.0,
+                cfg.eps_shell, r_max, cfg.max_steps)
+            ref, ref_steps = masked_block(hs, nb, np.random.default_rng(
+                [seed, b]), cfg.eps_shell, r_max)
+            assert truncated == 0
+            assert np.array_equal(contrib, ref)
+            assert dom.rows[0] == nb
+            assert all(x >= y for x, y in zip(dom.rows, dom.rows[1:]))
+            rows += sum(dom.rows)
+            steps += int(ref_steps.sum())
+        assert rows == steps
+        # the full-block kernel evaluated about 221 rows per walk here
+        assert rows / n < 100
+
+    def test_screened_block_matches_masked_reference(self):
+        hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
+        contrib, _, _ = _run_block(hs, E, 4096, np.random.default_rng(3),
+                                   0.5, 1e-4, 1e3, 20000)
+        ref, _ = masked_block(hs, 4096, np.random.default_rng(3), 1e-4, 1e3,
+                              c=0.5)
+        assert np.array_equal(contrib, ref)
+
+    def test_centered_ball_takes_one_step_per_block(self):
+        dom = CountingDomain(Ball(center=tuple(E), radius=1.0))
+        est = robin_constant(dom, E, 10_000, 12345)
+        assert est.lambda_hat == -1.0
+        # the pole's distance, then per block one call before the single
+        # step and one that finds every walk on the sphere
+        assert dom.rows == [1, 4096, 4096, 4096, 4096, 1808, 1808]
+
+
+class TestWosInputValidation:
+    @pytest.mark.parametrize("kw", [
+        {"block_size": 0}, {"block_size": -3}, {"max_steps": 0},
+        {"eps_shell": math.nan}, {"eps_shell": -1.0}, {"eps_shell": 0.0},
+        {"r_max_factor": 0.0}, {"r_max_factor": math.inf},
+    ])
+    def test_config_rejected(self, kw):
+        with pytest.raises(InvalidInputError):
+            WosConfig(**kw)
+
+    @pytest.mark.parametrize("pole, c_weight", [
+        ((math.nan, 0.0, 1.0, 0.0), 0.0),
+        ((1.0, 0.0, math.inf, 0.0), 0.0),
+        ((1.0, 0.0, 1.0), 0.0),
+        ((1.0, 0.0, 1.0, 0.0), math.nan),
+        ((1.0, 0.0, 1.0, 0.0), math.inf),
+    ])
+    def test_estimator_inputs_rejected(self, pole, c_weight):
+        hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
+        with pytest.raises(InvalidInputError):
+            robin_constant(hs, np.array(pole), 100, 0, c_weight=c_weight)
+
+    def test_non_finite_pole_distance_rejected(self):
+        dom = GenericSolvable(lambda x: np.full(len(x), math.inf))
+        with pytest.raises(InvalidInputError):
+            robin_constant(dom, E, 100, 0)
 
 
 class TestScalingLaw:
