@@ -41,8 +41,14 @@ from scipy.optimize import minimize_scalar
 from .errors import (CaseError, EvaluationError, InvalidInputError,
                      PreconditionError)
 from .invariants import HopfParams, InvariantSet, _arg01
-from .quotient import _in_fundamental_domain, _log_modulus, reduce_point
+from .quotient import (_in_fundamental_domain, _log_modulus, _modulus,
+                       reduce_point, reduce_points)
 from .flows import VectorField, flow_point
+
+
+def _require_samples(n_samples: int) -> None:
+    if n_samples < 1:
+        raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
 
 
 def _require_real_b(params: HopfParams) -> None:
@@ -567,8 +573,10 @@ def tangency_check(spec, X: VectorField, n_samples: int, t_grid,
 
     Boundary samples are checked for residual drift along the flow; interior
     samples for sign changes (escapes).  Tangential verdict iff the maximum
-    drift stays within tol and nothing escapes.
+    drift stays within tol and nothing escapes.  InvalidInputError for
+    n_samples < 1.
     """
+    _require_samples(n_samples)
     rng = np.random.default_rng(seed)
     boundary = _boundary_samples(spec, n_samples, params, inv, rng)
     boundary = [pt for pt in boundary
@@ -641,46 +649,40 @@ def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
     two product pieces of the shell intersected with {Re w > 0}.  Backward:
     random points of that union, pushed through random deck powers, land
     back in the product (automatic since deck powers scale w by positive
-    reals).  Both directions are counted; zero failures expected.
+    reals, so backward_failures is 0).  Both directions are counted over
+    n_samples >= 1 points each; zero failures expected.
     """
+    _require_samples(n_samples)
     _require_real_b(params)
     rng = np.random.default_rng(seed)
     la, lb = params.log_abs_a, math.log(params.b.real)
 
-    fwd_fail = 0
-    inner = outer = 0
-    for _ in range(n_samples):
-        z = math.exp(rng.uniform(-3 * la, 3 * la)) \
-            * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-        w = math.exp(rng.uniform(-3 * lb, 3 * lb)) \
-            * cmath.exp(1j * rng.uniform(-math.pi / 2, math.pi / 2))
-        rp = reduce_point((z, w), params)
-        if not (rp.rep_w.real > 0 and _in_fundamental_domain(*rp.rep, params)):
-            fwd_fail += 1
-            continue
-        if abs(rp.rep_w) > 1.0 and abs(rp.rep_z) <= 1.0:
-            inner += 1
-        else:
-            outer += 1
+    # Rows (log|z|, arg z, log|w|, arg w), drawn sample by sample and before
+    # any backward draw, so a seed gives the same forward points whatever
+    # the backward direction does.
+    u = rng.uniform((-3 * la, 0.0, -3 * lb, -math.pi / 2),
+                    (3 * la, 2 * math.pi, 3 * lb, math.pi / 2),
+                    size=(n_samples, 4))
+    rep_z, rep_w, _ = reduce_points(np.exp(u[:, 0] + 1j * u[:, 1]),
+                                    np.exp(u[:, 2] + 1j * u[:, 3]), params)
+    mz, mw = _modulus(rep_z), _modulus(rep_w)
+    ok = (rep_w.real > 0) & _in_fundamental_domain(mz, mw, params)
+    inner = int(np.count_nonzero(ok & (mw > 1.0) & (mz <= 1.0)))
 
-    bwd_fail = 0
-    for _ in range(n_samples):
-        if rng.random() < 0.5:
-            z = rng.uniform(0.0, abs(params.a)) \
-                * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            wm = math.exp(rng.uniform(0.0, lb))
-        else:
-            z = math.exp(rng.uniform(0.0, la)) \
-                * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-            wm = math.exp(rng.uniform(-3.0, lb))
-        w = wm * cmath.exp(1j * rng.uniform(-math.pi / 2, math.pi / 2))
-        if not (w.real > 0 and _in_fundamental_domain(z, w, params)):
-            continue
-        n = int(rng.integers(-5, 6))
-        if not (w * params.b ** n).real > 0.0:
-            bwd_fail += 1
+    # Shell points with Re w > 0, half from each product piece, lifted by
+    # deck powers n in [-5, 5].
+    v = rng.random((n_samples, 5))
+    first = v[:, 0] < 0.5
+    z = np.where(first, abs(params.a) * v[:, 1], np.exp(la * v[:, 1])) \
+        * np.exp(2j * math.pi * v[:, 2])
+    w = np.exp(np.where(first, lb * v[:, 3], (lb + 3.0) * v[:, 3] - 3.0)
+               + 1j * math.pi * (v[:, 4] - 0.5))
+    shell = (w.real > 0) & _in_fundamental_domain(z, w, params)
+    lifted = w * float(params.b.real) ** rng.integers(-5, 6, n_samples)
 
+    n_ok = int(np.count_nonzero(ok))
     return QuotientIdentityReport(
         n_forward=n_samples, n_backward=n_samples,
-        forward_failures=fwd_fail, backward_failures=bwd_fail,
-        shell_inner_count=inner, shell_outer_count=outer)
+        forward_failures=n_samples - n_ok,
+        backward_failures=int(np.count_nonzero(shell & ~(lifted.real > 0))),
+        shell_inner_count=inner, shell_outer_count=n_ok - inner)

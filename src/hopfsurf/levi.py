@@ -160,7 +160,11 @@ class ScanReport:
 def pseudoconvexity_scan(spec, n_samples: int, tol: float,
                          params: HopfParams, seed: int,
                          inv=None, h: float = 4e-4) -> ScanReport:
-    """Numeric Levi values of the boundary residual at sampled boundary points."""
+    """Numeric Levi values of the boundary residual at sampled boundary points.
+
+    InvalidInputError for n_samples < 1.
+    """
+    _dom._require_samples(n_samples)
     rng = np.random.default_rng(seed)
     pts = _dom._boundary_samples(spec, n_samples, params, inv, rng)
     if not pts:

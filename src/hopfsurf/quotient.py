@@ -25,11 +25,15 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import CaseError, EvaluationError, InvalidInputError
 from .invariants import HopfParams, InvariantSet
 
 _LN2 = math.log(2.0)
 _DBL_MIN = sys.float_info.min  # the smallest normal float
+_DBL_MAX = sys.float_info.max
+_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -54,14 +58,13 @@ class HopfPoint:
         return (self.rep_z, self.rep_w)
 
 
-def _in_fundamental_domain(z: complex, w: complex, params: HopfParams) -> bool:
+def _in_fundamental_domain(z, w, params: HopfParams):
+    """Whether (z, w) lies in F = E1 u E2, that is |z| <= |a|, |w| <= |b|
+    and outside the closed unit bidisc.  Complex scalars or arrays (of
+    points or of their moduli) alike; arrays give an elementwise mask."""
     az, aw = abs(z), abs(w)
     A, B = abs(params.a), abs(params.b)
-    if az <= A and 1.0 < aw <= B:   # E1
-        return True
-    if 1.0 < az <= A and aw <= B:   # E2
-        return True
-    return False
+    return (az <= A) & (aw <= B) & ((1.0 < az) | (1.0 < aw))
 
 
 def _shell_violation(z: complex, w: complex, params: HopfParams) -> float:
@@ -153,6 +156,78 @@ def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
                 f"could not reduce {pt} into the fundamental shell")
     return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
                      on_Ta=(w == 0), on_Tb=(z == 0))
+
+
+def _modulus(x: np.ndarray) -> np.ndarray:
+    """|x| elementwise, rounded as the scalar abs() rounds it (libm hypot);
+    numpy's complex abs can differ in the last bit, which moves a point
+    across a face of F."""
+    return np.hypot(x.real, x.imag)
+
+
+def _quot(x: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """x / d by Smith's algorithm in the operation order of CPython's
+    complex division (the scalar x / c**n), where numpy's multiplies by a
+    rounded reciprocal instead."""
+    re_big = np.abs(d.real) >= np.abs(d.imag)
+    p, q = np.where(re_big, d.real, d.imag), np.where(re_big, d.imag, d.real)
+    ratio = q / p
+    denom = p + q * ratio
+    xr, xi = x.real, x.imag
+    re = np.where(re_big, xr + xi * ratio, xr * ratio + xi) / denom
+    out = np.empty(re.shape, dtype=complex)
+    out.real = re
+    out.imag = np.where(re_big, xi - xr * ratio, xi * ratio - xr) / denom
+    return out
+
+
+def reduce_points(z, w, params: HopfParams
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """reduce_point over (N,) arrays: (rep_z, rep_w, lift_index) arrays.
+
+    Row i equals reduce_point((z[i], w[i]), params) bit for bit.  A row is
+    reduced with whole-array operations when its moduli are normal floats,
+    t sits clear of an integer, |n| log|c| < 708 and one of the window
+    indices floor(t) - 1, floor(t) puts a finite representative in F; each
+    rounding step is the scalar path's (hypot, the Python power c**n,
+    CPython's complex division).  Every other row (NaN/inf, the origin, a
+    zero, subnormal or overflowing modulus, the ldexp split, the ulp
+    tie-break, index floor(t) + 1) goes through reduce_point, so the first
+    row that reduce_point rejects raises its error.
+    """
+    z = np.asarray(z, dtype=complex)
+    w = np.asarray(w, dtype=complex)
+    rep_z, rep_w = np.empty_like(z), np.empty_like(w)
+    lift = np.zeros(z.shape, dtype=np.int64)
+    with np.errstate(all="ignore"):
+        mz, mw = _modulus(z), _modulus(w)
+        rows = np.flatnonzero((_DBL_MIN <= mz) & (mz <= _DBL_MAX)
+                              & (_DBL_MIN <= mw) & (mw <= _DBL_MAX))
+        la, lb = params.log_abs_a, params.log_abs_b
+        t = np.maximum(np.log(mz[rows]) / la, np.log(mw[rows]) / lb)
+        n = np.floor(t).astype(np.int64)[:, None] + np.array([-1, 0])
+        # numpy's log may differ from libm's by an ulp, which moves t by a
+        # few eps |t|; a row that close to an integer may floor differently.
+        plain = ((np.abs(n) * max(la, lb) < 708.0).all(axis=1)
+                 & (np.abs(t - np.round(t)) > 16 * _EPS * np.abs(t)))
+        rows, n = rows[plain], n[plain]
+        ns, at = np.unique(n, return_inverse=True)
+        at = at.reshape(n.shape)
+        rz = _quot(z[rows, None],
+                   np.array([complex(params.a**k) for k in ns.tolist()])[at])
+        rw = _quot(w[rows, None],
+                   np.array([complex(params.b**k) for k in ns.tolist()])[at])
+        in_f = _in_fundamental_domain(_modulus(rz), _modulus(rw), params)
+        ok = in_f.any(axis=1) & (np.isfinite(rz) & np.isfinite(rw)).all(axis=1)
+    rows, j = rows[ok], in_f[ok].argmax(axis=1)
+    k = np.flatnonzero(ok)
+    rep_z[rows], rep_w[rows], lift[rows] = rz[k, j], rw[k, j], n[k, j]
+    rest = np.ones(z.shape, dtype=bool)
+    rest[rows] = False
+    for i in np.flatnonzero(rest).tolist():
+        pt = reduce_point((complex(z[i]), complex(w[i])), params)
+        rep_z[i], rep_w[i], lift[i] = pt.rep_z, pt.rep_w, pt.lift_index
+    return rep_z, rep_w, lift
 
 
 def _close(u: complex, v: complex, tol: float) -> bool:

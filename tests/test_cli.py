@@ -171,6 +171,32 @@ class TestRobinCommands:
         assert doc["forward_failures"] == 0
         assert doc["backward_failures"] == 0
 
+    def test_nemirovskii_verify_defaults_pinned(self, capsys):
+        code, doc = run_cli(capsys, "nemirovskii-verify", "--a-re", "2",
+                            "--b-re", "4")
+        assert code == 0
+        assert doc["n_forward"] == doc["n_backward"] == 10000
+        assert doc["shell_inner_count"] == 4171
+        assert doc["shell_outer_count"] == 5829
+
+    @pytest.mark.parametrize("argv", [
+        ["nemirovskii-verify", "--a-re", "2", "--b-re", "4",
+         "--n-samples=-5"],
+        ["nemirovskii-verify", "--a-re", "2", "--b-re", "4",
+         "--n-samples", "0"],
+        ["tangency", "--a-re", "2", "--b-re", "3", "--domain", "level-band",
+         "--k1", "0.5", "--k2", "2", "--unit-field", "--n-samples", "0"],
+        ["levi-scan", "--a-re", "2", "--b-re", "3", "--domain",
+         "level-band", "--k1", "0.5", "--k2", "2", "--n-samples", "0"],
+    ])
+    def test_bad_sample_count_exit_2(self, capsys, argv):
+        code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        n = argv[-1].removeprefix("--n-samples=")
+        assert captured.err == f"error: n_samples must be >= 1, got {n}\n"
+
 
 class TestParsing:
     def test_missing_subcommand_usage_error(self):

@@ -189,6 +189,12 @@ class TestTangency:
         assert not rep.tangential
         assert rep.boundary_drift > 0.1
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_rejects_bad_sample_counts(self, n):
+        with pytest.raises(InvalidInputError, match="n_samples"):
+            tangency_check(LevelBand(0.5, 2.0), unit_field(P23), n,
+                           [0.5], 1e-9, P23, seed=3, inv=INV23)
+
 
 class TestClassifyDomain:
     def test_level_band(self):
@@ -231,6 +237,21 @@ class TestNemirovskiiQuotient:
     def test_requires_real_b(self):
         with pytest.raises(PreconditionError):
             verify_nemirovskii_quotient(P2M4, 100, seed=0)
+
+    @pytest.mark.parametrize("n, seed, inner, outer", [
+        (10**4, 99, 4104, 5896), (2000, 21, 829, 1171)])
+    def test_forward_draw_order_pinned(self, n, seed, inner, outer):
+        # The forward samples are drawn before the backward ones, four
+        # uniforms per sample in (log|z|, arg z, log|w|, arg w) order.
+        rep = verify_nemirovskii_quotient(HopfParams(2, 4), n, seed=seed)
+        assert (rep.shell_inner_count, rep.shell_outer_count) == (inner, outer)
+        assert rep.n_forward == rep.n_backward == n
+        assert rep.forward_failures == rep.backward_failures == 0
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_bad_sample_counts(self, n):
+        with pytest.raises(InvalidInputError, match="n_samples"):
+            verify_nemirovskii_quotient(P24, n, seed=0)
 
 
 class TestHausdorffContinuity:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hopfsurf.domains import LevelBand, Nemirovskii
-from hopfsurf.errors import PreconditionError
+from hopfsurf.errors import InvalidInputError, PreconditionError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.levi import (BoundaryModel, Jet2, diamond_search, levi2_residual,
                            levi_form, numeric_jet, pseudoconvexity_scan,
@@ -98,6 +98,12 @@ class TestPseudoconvexityScan:
         rep = pseudoconvexity_scan(spec, 50, 1e-6, P23, 7, inv=INV23)
         assert not rep.pseudoconvex_at_samples
         assert rep.min_levi < -0.1
+
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_bad_sample_counts(self, n):
+        with pytest.raises(InvalidInputError, match="n_samples"):
+            pseudoconvexity_scan(LevelBand(0.5, 2.0), n, 1e-6, P23, 7,
+                                 inv=INV23)
 
 
 class TestLevi2Residual:

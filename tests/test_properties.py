@@ -9,15 +9,19 @@ import cmath
 import contextlib
 import io
 import math
+import struct
 import sys
 
+import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hopfsurf.cli import main
 from hopfsurf.errors import InvalidInputError
 from hopfsurf.invariants import HopfParams
-from hopfsurf.quotient import _shell_violation, reduce_point, u_value
+from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
+                               u_value)
 
 EPS = sys.float_info.epsilon
 DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
@@ -67,6 +71,44 @@ def _in_shell_or_within_tolerance(pt, params) -> bool:
 def test_reduce_is_total_over_the_float_range(params, z, w):
     pt = reduce_point((z, w), params)
     assert _in_shell_or_within_tolerance(pt, params)
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<dd", x.real, x.imag)
+
+
+@PROPERTY
+@given(params=multipliers(1.0 + 1e-15, 1e308),
+       pts=st.lists(st.tuples(coordinates(), coordinates()), max_size=12))
+def test_reduce_points_matches_reduce_point(params, pts):
+    z = np.array([p[0] for p in pts], dtype=complex)
+    w = np.array([p[1] for p in pts], dtype=complex)
+    rz, rw, n = reduce_points(z, w, params)
+    assert rz.shape == rw.shape == n.shape == (len(pts),)
+    for i, pt in enumerate(pts):
+        r = reduce_point(pt, params)
+        assert n[i] == r.lift_index
+        for x, y in ((rz[i], r.rep_z), (rw[i], r.rep_w)):
+            assert abs(x - y) <= 4 * EPS * abs(y)
+            assert _bits(x) == _bits(y)
+
+
+@PROPERTY
+@given(params=multipliers(1.0 + 1e-15, 1e308),
+       pts=st.lists(st.tuples(coordinates(), coordinates()), max_size=6),
+       bad=st.sampled_from([(math.nan, 1.0), (1.0, math.inf),
+                            (complex(2.0, -math.inf), complex(math.nan, 1.0)),
+                            (0j, 0j)]),
+       data=st.data())
+def test_reduce_points_raises_on_a_bad_row(params, pts, bad, data):
+    at = data.draw(st.integers(0, len(pts)))
+    rows = pts[:at] + [bad] + pts[at:]
+    with pytest.raises(InvalidInputError) as scalar:
+        reduce_point(bad, params)
+    with pytest.raises(InvalidInputError) as batch:
+        reduce_points(np.array([p[0] for p in rows], dtype=complex),
+                      np.array([p[1] for p in rows], dtype=complex), params)
+    assert str(batch.value) == str(scalar.value)
 
 
 def _normal(x: complex) -> bool:

@@ -2,16 +2,18 @@
 
 import cmath
 import math
+import struct
 import time
 
 import numpy as np
 import pytest
 
+from hopfsurf import quotient
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.quotient import (_in_fundamental_domain, _shell_violation,
                                equivalent, leaf_equivalent, level_membership,
-                               reduce_point, u_value)
+                               reduce_point, reduce_points, u_value)
 
 PARAMS = HopfParams(2 + 0j, 4 + 0j)
 PARAMS_TWIST = HopfParams(complex(2 * cmath.exp(0.7j)),
@@ -131,6 +133,66 @@ class TestExtremeModuli:
             with pytest.raises(InvalidInputError,
                                match=f"coordinate {name} = .* is not finite"):
                 fn(pt)
+
+
+def _bits(x) -> bytes:
+    return struct.pack("<dd", x.real, x.imag)
+
+
+def _assert_rows_match(z, w, params):
+    rz, rw, n = reduce_points(z, w, params)
+    assert rz.shape == rw.shape == n.shape == (len(z),)
+    for i in range(len(z)):
+        pt = reduce_point((complex(z[i]), complex(w[i])), params)
+        assert ((int(n[i]), _bits(rz[i]), _bits(rw[i]))
+                == (pt.lift_index, _bits(pt.rep_z), _bits(pt.rep_w)))
+
+
+class TestReducePoints:
+    """The batch equals reduce_point row by row, bit for bit."""
+
+    @pytest.mark.parametrize("params", [PARAMS, PARAMS_TWIST])
+    def test_matches_reduce_point_on_a_wide_batch(self, params):
+        rng = np.random.default_rng(4)
+        lz, lw = rng.uniform(-40, 40, (2, 2000))
+        z = np.exp(lz + 1j * rng.uniform(0, 2 * math.pi, 2000))
+        w = np.exp(lw + 1j * rng.uniform(0, 2 * math.pi, 2000))
+        _assert_rows_match(z, w, params)
+
+    def test_matches_reduce_point_on_lifted_face_points(self):
+        # (u a**k, 0.5 b**k) and (0.5 a**k, u b**k) with |u| = 1 put the
+        # representative on a face of F up to rounding.
+        a, b = PARAMS_TWIST.a, PARAMS_TWIST.b
+        u = cmath.rect(1.0, 0.3)
+        ks = range(-30, 31)
+        z = np.array([x * a**k for k in ks for x in (u, 0.5, u * a)])
+        w = np.array([y * b**k for k in ks for y in (0.5, u, 0.5)])
+        _assert_rows_match(z, w, PARAMS_TWIST)
+
+    def test_only_fallback_rows_reach_reduce_point(self, monkeypatch):
+        rows = [(1.5 + 0.2j, 2.0),             # plain: lift 0
+                (0j, 3.0),                     # a zero coordinate
+                (5e-324, 1.0),                 # a subnormal modulus
+                (1.7e308 + 1.7e308j, 1.0),     # abs() overflows
+                (1e300, 1e-300),               # |n| log|b| >= 708
+                (4.0, 0.5),                    # t = 2 is an integer
+                (2.5, 3.0)]                    # plain: lift 1
+        z, w = np.array(rows).T
+        calls = []
+        scalar = quotient.reduce_point
+        monkeypatch.setattr(quotient, "reduce_point",
+                            lambda pt, p: calls.append(pt) or scalar(pt, p))
+        _, _, n = reduce_points(z, w, PARAMS)
+        assert calls == rows[1:6]
+        assert (n[0], n[6]) == (0, 1)
+        monkeypatch.undo()
+        _assert_rows_match(z, w, PARAMS)
+
+    def test_empty_batch(self):
+        rz, rw, n = reduce_points(np.zeros(0, complex), np.zeros(0, complex),
+                                  PARAMS)
+        assert rz.shape == rw.shape == n.shape == (0,)
+        assert n.dtype == np.int64
 
 
 class TestEquivalent:
