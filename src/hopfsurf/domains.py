@@ -46,9 +46,14 @@ from .quotient import (_in_fundamental_domain, _log_modulus, _modulus,
 from .flows import VectorField, flow_point
 
 
-def _require_samples(n_samples: int) -> None:
-    if n_samples < 1:
-        raise InvalidInputError(f"n_samples must be >= 1, got {n_samples}")
+def _require_samples(n: int, name: str = "n_samples") -> None:
+    if n < 1:
+        raise InvalidInputError(f"{name} must be >= 1, got {n}")
+
+
+def _require_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise InvalidInputError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _require_real_b(params: HopfParams) -> None:
@@ -574,9 +579,10 @@ def tangency_check(spec, X: VectorField, n_samples: int, t_grid,
     Boundary samples are checked for residual drift along the flow; interior
     samples for sign changes (escapes).  Tangential verdict iff the maximum
     drift stays within tol and nothing escapes.  InvalidInputError for
-    n_samples < 1.
+    n_samples < 1 or a tol that is negative or not finite.
     """
     _require_samples(n_samples)
+    _require_tol(tol)
     rng = np.random.default_rng(seed)
     boundary = _boundary_samples(spec, n_samples, params, inv, rng)
     boundary = [pt for pt in boundary

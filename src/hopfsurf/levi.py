@@ -162,9 +162,11 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
                          inv=None, h: float = 4e-4) -> ScanReport:
     """Numeric Levi values of the boundary residual at sampled boundary points.
 
-    InvalidInputError for n_samples < 1.
+    InvalidInputError for n_samples < 1 or a tol that is negative or not
+    finite.
     """
     _dom._require_samples(n_samples)
+    _dom._require_tol(tol)
     rng = np.random.default_rng(seed)
     pts = _dom._boundary_samples(spec, n_samples, params, inv, rng)
     if not pts:
@@ -402,7 +404,9 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
     Every sampled w below the base arc is matched to an s in [0, 1] with w on
     the arc over s z* (one-dimensional bisection; the arc residual at the
     solution is reported).  r' halves until the far arc clears every sample.
+    InvalidInputError for n_w_samples < 1.
     """
+    _dom._require_samples(n_w_samples, "n_w_samples")
     p0 = model.coeff(0)
     probe = max(abs(p0(0.5 * r1 * cmath.exp(1j * t)))
                 for t in np.linspace(0, 2 * math.pi, 64, endpoint=False))

@@ -197,6 +197,28 @@ class TestRobinCommands:
         n = argv[-1].removeprefix("--n-samples=")
         assert captured.err == f"error: n_samples must be >= 1, got {n}\n"
 
+    @pytest.mark.parametrize("n", ["0", "-2"])
+    def test_bad_w_sample_count_exit_2(self, capsys, n):
+        code = main(["sweep-cover", "--p0", "[[2,0,1],[0,2,1]]",
+                     f"--n-w-samples={n}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: n_w_samples must be >= 1, got {n}\n"
+
+    @pytest.mark.parametrize("cmd", [
+        ["tangency", "--unit-field"], ["levi-scan"]])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_bad_tol_exit_2(self, capsys, cmd, tol):
+        code = main([*cmd, "--a-re", "2", "--b-re", "3", "--domain",
+                     "level-band", "--k1", "0.5", "--k2", "2",
+                     f"--tol={tol}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: tol must be finite and >= 0, "
+                                f"got {float(tol)}\n")
+
 
 class TestParsing:
     def test_missing_subcommand_usage_error(self):

@@ -195,6 +195,19 @@ class TestTangency:
             tangency_check(LevelBand(0.5, 2.0), unit_field(P23), n,
                            [0.5], 1e-9, P23, seed=3, inv=INV23)
 
+    @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, -math.inf])
+    def test_rejects_bad_tol(self, tol):
+        # nan keeps no boundary or interior sample, inf keeps every one
+        with pytest.raises(InvalidInputError,
+                           match=r"tol must be finite and >= 0, got"):
+            tangency_check(LevelBand(0.5, 2.0), unit_field(P23), 5,
+                           [0.5], tol, P23, seed=3, inv=INV23)
+
+    def test_zero_tol_accepted(self):
+        rep = tangency_check(LevelBand(0.5, 2.0), unit_field(P23), 5,
+                             [0.5], 0.0, P23, seed=3, inv=INV23)
+        assert rep.n_interior == 5
+
 
 class TestClassifyDomain:
     def test_level_band(self):

@@ -105,6 +105,15 @@ class TestPseudoconvexityScan:
             pseudoconvexity_scan(LevelBand(0.5, 2.0), n, 1e-6, P23, 7,
                                  inv=INV23)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        # a negative tol flags the Levi-flat band boundary everywhere, inf
+        # passes anything, nan compares false both ways
+        with pytest.raises(InvalidInputError,
+                           match=r"tol must be finite and >= 0, got"):
+            pseudoconvexity_scan(LevelBand(0.5, 2.0), 5, tol, P23, 7,
+                                 inv=INV23)
+
 
 class TestLevi2Residual:
     def test_modulus_squared_positive(self):
@@ -170,6 +179,19 @@ class TestSweepCover:
         model = BoundaryModel(p=(RealPoly2({}),))
         with pytest.raises(PreconditionError):
             sweep_cover_check(model, 1.0)
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_bad_w_sample_counts(self, n):
+        # no samples would certify the first radius tried
+        model = BoundaryModel(p=(RealPoly2({(2, 0): 1.0, (0, 2): 1.0}),))
+        with pytest.raises(InvalidInputError,
+                           match=f"n_w_samples must be >= 1, got {n}"):
+            sweep_cover_check(model, 1.0, n_w_samples=n)
+
+    def test_one_w_sample_accepted(self):
+        model = BoundaryModel(p=(RealPoly2({(2, 0): 1.0, (0, 2): 1.0}),))
+        rep = sweep_cover_check(model, 1.0, n_w_samples=1, seed=3)
+        assert rep.r_prime > 0
 
 
 class TestRealPoly2:
