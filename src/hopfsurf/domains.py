@@ -39,21 +39,11 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import (CaseError, EvaluationError, InvalidInputError,
-                     PreconditionError)
+                     PreconditionError, _require_samples, _require_tol)
 from .invariants import HopfParams, InvariantSet, _arg01
 from .quotient import (_in_fundamental_domain, _log_modulus, _modulus,
                        reduce_point, reduce_points)
 from .flows import VectorField, flow_point
-
-
-def _require_samples(n: int, name: str = "n_samples") -> None:
-    if n < 1:
-        raise InvalidInputError(f"{name} must be >= 1, got {n}")
-
-
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidInputError(f"tol must be finite and >= 0, got {tol}")
 
 
 def _require_real_b(params: HopfParams) -> None:
@@ -371,13 +361,12 @@ def evaluate_domain(spec, pt, params: HopfParams,
 # translation
 
 
-@dataclass(frozen=True)
-class DistanceConfig:
-    lipschitz_bound: Optional[float] = None
-    n_rays: int = 64
-    r_max: float = 4.0
-    tol: float = 1e-10
-    seed: int = 0
+# distance_bounds: rays cast from the identity for generic translates (seeded),
+# their search radius, and the bracket tolerance of every kind
+_DIST_RAYS = 64
+_DIST_R_MAX = 4.0
+_DIST_TOL = 1e-10
+_DIST_SEED = 0
 
 
 class TranslatedDomain:
@@ -405,7 +394,7 @@ class ProductHalfPlane(TranslatedDomain):
         # inside: Re(eta e^{i theta}) > 0
         return -(eta * cmath.exp(1j * self.theta)).real
 
-    def distance_bounds(self, config):
+    def distance_bounds(self):
         d = math.cos(self.theta)
         return (d, d)
 
@@ -429,7 +418,7 @@ class ModulusRegion(TranslatedDomain):
         return _interval_residual(_log_ratio(xi, eta, self.rho), self.log_k1,
                                   self.log_k2)
 
-    def distance_bounds(self, config):
+    def distance_bounds(self):
         best = math.inf
         for lk in (self.log_k1, self.log_k2):
             if not math.isfinite(lk):
@@ -441,11 +430,11 @@ class ModulusRegion(TranslatedDomain):
 
             out = minimize_scalar(dist2, bounds=(1e-12, 16.0),
                                   method="bounded",
-                                  options={"xatol": config.tol})
+                                  options={"xatol": _DIST_TOL})
             best = min(best, math.sqrt(out.fun))
         if not math.isfinite(best):
             raise EvaluationError("region has no finite boundary")
-        return (best - config.tol, best + config.tol)
+        return (best - _DIST_TOL, best + _DIST_TOL)
 
     def wos_domain(self):
         from .robin import GenericSolvable
@@ -479,13 +468,12 @@ class GenericTranslate(TranslatedDomain):
     def residual(self, xi: complex, eta: complex) -> float:
         return float(self.residual_fn(xi, eta))
 
-    def distance_bounds(self, config):
-        r0 = self.residual(1.0 + 0j, 1.0 + 0j)
-        if r0 >= 0:
+    def distance_bounds(self):
+        if self.residual(1.0 + 0j, 1.0 + 0j) >= 0:
             raise EvaluationError("identity is not inside the translate")
-        rng = np.random.default_rng(config.seed)
+        rng = np.random.default_rng(_DIST_SEED)
         upper = math.inf
-        for _ in range(config.n_rays):
+        for _ in range(_DIST_RAYS):
             v = rng.normal(size=4)
             v /= np.linalg.norm(v)
             dxi, deta = complex(v[0], v[1]), complex(v[2], v[3])
@@ -494,8 +482,8 @@ class GenericTranslate(TranslatedDomain):
                 return self.residual(1.0 + s * dxi, 1.0 + s * deta)
 
             lo, hi = 0.0, None
-            s = config.tol
-            while s <= config.r_max:
+            s = _DIST_TOL
+            while s <= _DIST_R_MAX:
                 if g(s) >= 0:
                     hi = s
                     break
@@ -510,10 +498,7 @@ class GenericTranslate(TranslatedDomain):
                 else:
                     lo = mid
             upper = min(upper, hi)
-        lower = 0.0
-        if config.lipschitz_bound:
-            lower = abs(r0) / config.lipschitz_bound
-        return (lower, upper)
+        return (0.0, upper)
 
 
 def translate_domain(spec, anchor, params: HopfParams,
@@ -532,18 +517,17 @@ def translate_domain(spec, anchor, params: HopfParams,
     return spec.translate(anchor, params, inv)
 
 
-def distance_to_identity(translated, config: DistanceConfig = DistanceConfig()
-                         ) -> tuple[float, float]:
+def distance_to_identity(translated) -> tuple[float, float]:
     """(lower, upper) bounds on the distance from (1, 1) to the boundary.
 
     Exact for ProductHalfPlane; a bracketed one-dimensional minimization
-    (tolerance config.tol) for modulus regions; for generic translates an
-    upper bound by ray sampling and a lower bound from a caller-supplied
-    Lipschitz constant for the residual.
+    (tolerance 1e-10) for modulus regions; for generic translates an upper
+    bound from bisection along 64 seeded random rays of length <= 4 and the
+    trivial lower bound 0.0.
     """
     if not isinstance(translated, TranslatedDomain):
         raise InvalidInputError(f"unknown translated domain {translated!r}")
-    return translated.distance_bounds(config)
+    return translated.distance_bounds()
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,7 @@ from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError
+from .errors import EvaluationError, InvalidInputError, _require_finite
 from .invariants import TWO_PI, HopfParams, InvariantSet, _arg01
 from .quotient import HopfPoint, reduce_point
 
@@ -37,6 +37,8 @@ class VectorField:
     beta: complex
 
     def __post_init__(self):
+        _require_finite("field alpha", self.alpha)
+        _require_finite("field beta", self.beta)
         if self.alpha == 0 and self.beta == 0:
             raise InvalidInputError("zero field generates no flow")
 
@@ -191,6 +193,7 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
     """
     if z_prime == 0:
         raise InvalidInputError("fiber over z = 0 is not in the chart")
+    _require_finite("fiber base z'", z_prime)
     if N < 1:
         raise InvalidInputError("N must be >= 1")
     params = inv.params

@@ -25,7 +25,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .errors import CaseError, ConsistencyError, InvalidInputError
+from .errors import (CaseError, ConsistencyError, InvalidInputError,
+                     _require_finite, _require_tol)
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,6 +55,8 @@ class HopfParams:
     b: complex
 
     def __post_init__(self):
+        _require_finite("multiplier a", self.a)
+        _require_finite("multiplier b", self.b)
         if not (abs(self.a) > 1.0):
             raise InvalidInputError(f"need |a| > 1, got |a| = {abs(self.a)}")
         if not (abs(self.b) >= abs(self.a)):
@@ -151,8 +154,7 @@ def detect_rational(x: float, tol: float, max_den: int) -> RationalityResult:
     """
     if not math.isfinite(x):
         raise InvalidInputError(f"x must be finite, got {x}")
-    if tol < 0.0:
-        raise InvalidInputError("tol must be nonnegative")
+    _require_tol(tol)
     if max_den < 1:
         raise InvalidInputError("max_den must be >= 1")
 

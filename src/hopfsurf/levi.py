@@ -25,12 +25,13 @@ from __future__ import annotations
 import cmath
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (EvaluationError, InvalidInputError, PreconditionError)
+from .errors import (EvaluationError, InvalidInputError, PreconditionError,
+                     _require_samples, _require_tol)
 from .invariants import HopfParams
 from .poly import ZERO, RealPoly2
 from . import domains as _dom
@@ -79,8 +80,11 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
     (z0 zeta, w0 omega) so that the step size is relative to the base point
     (log-type residuals near a coordinate axis stay well-conditioned), and
     the derivatives are chain-ruled back to the original coordinates.
-    With richardson=True (default) the O(h^2) truncation term is eliminated
-    by a second pass at h/2.
+    One pass evaluates psi at 25 distinct points: the base point, +-h on
+    each real axis (shared by the first and pure second differences) and
+    the four corners of each mixed (z, w) difference.  With richardson=True
+    (default) the O(h^2) truncation term is eliminated by a second pass at
+    h/2, 50 evaluations in all.
 
     Known limitation: near a coordinate axis the relative step is tiny and
     rounding spoils polynomial residuals: the unit sphere's Levi value 1
@@ -89,48 +93,33 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
     if richardson:
         j1 = numeric_jet(psi, point, h=h, richardson=False)
         j2 = numeric_jet(psi, point, h=h / 2, richardson=False)
-        return Jet2(value=j1.value,
-                    d_z=(4 * j2.d_z - j1.d_z) / 3,
-                    d_w=(4 * j2.d_w - j1.d_w) / 3,
-                    d_zzbar=(4 * j2.d_zzbar - j1.d_zzbar) / 3,
-                    d_wwbar=(4 * j2.d_wwbar - j1.d_wwbar) / 3,
-                    d_zwbar=(4 * j2.d_zwbar - j1.d_zwbar) / 3)
+        return Jet2(j1.value, *[(4 * getattr(j2, fd.name)
+                                 - getattr(j1, fd.name)) / 3
+                                for fd in fields(Jet2)[1:]])
     z0, w0 = complex(point[0]), complex(point[1])
     s1 = z0 if z0 != 0 else 1.0 + 0j
     s2 = w0 if w0 != 0 else 1.0 + 0j
     c1, c2 = z0 / s1, w0 / s2  # base point of the pulled-back function
 
-    def f(dx1=0.0, dy1=0.0, dx2=0.0, dy2=0.0):
-        return float(psi(s1 * (c1 + complex(dx1, dy1)),
-                         s2 * (c2 + complex(dx2, dy2))))
+    def f(*steps):
+        d = [0.0] * 4  # offsets in (x1, y1, x2, y2), one per (axis, step)
+        for k, dk in steps:
+            d[k] = dk
+        return float(psi(s1 * (c1 + complex(d[0], d[1])),
+                         s2 * (c2 + complex(d[2], d[3]))))
 
     f0 = f()
-    # first derivatives
-    gx1 = (f(dx1=h) - f(dx1=-h)) / (2 * h)
-    gy1 = (f(dy1=h) - f(dy1=-h)) / (2 * h)
-    gx2 = (f(dx2=h) - f(dx2=-h)) / (2 * h)
-    gy2 = (f(dy2=h) - f(dy2=-h)) / (2 * h)
-    # pure second derivatives
-    hx1 = (f(dx1=h) - 2 * f0 + f(dx1=-h)) / h**2
-    hy1 = (f(dy1=h) - 2 * f0 + f(dy1=-h)) / h**2
-    hx2 = (f(dx2=h) - 2 * f0 + f(dx2=-h)) / h**2
-    hy2 = (f(dy2=h) - 2 * f0 + f(dy2=-h)) / h**2
+    axis = [(f((k, h)), f((k, -h))) for k in range(4)]
+    gx1, gy1, gx2, gy2 = [(p - m) / (2 * h) for p, m in axis]
+    hx1, hy1, hx2, hy2 = [(p - 2 * f0 + m) / h**2 for p, m in axis]
 
-    def mixed(a: str, b: str) -> float:
-        kw = {a: h, b: h}
-        pp = f(**kw)
-        kw = {a: h, b: -h}
-        pm = f(**kw)
-        kw = {a: -h, b: h}
-        mp = f(**kw)
-        kw = {a: -h, b: -h}
-        mm = f(**kw)
+    def mixed(i: int, j: int) -> float:
+        pp, pm = f((i, h), (j, h)), f((i, h), (j, -h))
+        mp, mm = f((i, -h), (j, h)), f((i, -h), (j, -h))
         return (pp - pm - mp + mm) / (4 * h**2)
 
-    m_x1x2 = mixed("dx1", "dx2")
-    m_x1y2 = mixed("dx1", "dy2")
-    m_y1x2 = mixed("dy1", "dx2")
-    m_y1y2 = mixed("dy1", "dy2")
+    m_x1x2, m_x1y2, m_y1x2, m_y1y2 = [mixed(i, j) for i in (0, 1)
+                                      for j in (2, 3)]
 
     # jet of the pulled-back function, then the chain rule undoes the scaling
     d_zeta = 0.5 * complex(gx1, -gy1)
@@ -165,8 +154,8 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
     InvalidInputError for n_samples < 1 or a tol that is negative or not
     finite.
     """
-    _dom._require_samples(n_samples)
-    _dom._require_tol(tol)
+    _require_samples(n_samples)
+    _require_tol(tol)
     rng = np.random.default_rng(seed)
     pts = _dom._boundary_samples(spec, n_samples, params, inv, rng)
     if not pts:
@@ -229,10 +218,9 @@ def levi2_residual(model: BoundaryModel, z: complex) -> float:
     p0, p1, p2 = model.coeff(0), model.coeff(1), model.coeff(2)
     p1v = p1(z)
     t1 = (1.0 + p1v**2) * p0.laplacian(z) / 4.0
-    p1_z = p1.wirtinger_z(z)
-    p0_zb = p0.wirtinger_z(z).conjugate()
-    t2 = -2.0 * (p1_z * p0_zb * complex(p1v, -1.0)).real
-    t3 = 2.0 * p2(z) * abs(p0.wirtinger_z(z)) ** 2
+    p1_z, p0_z = p1.wirtinger_z(z), p0.wirtinger_z(z)
+    t2 = -2.0 * (p1_z * p0_z.conjugate() * complex(p1v, -1.0)).real
+    t3 = 2.0 * p2(z) * abs(p0_z) ** 2
     return t1 + t2 + t3
 
 
@@ -283,12 +271,65 @@ def _leading_data(p0: RealPoly2):
     return None, None
 
 
+def _ladder(p0: RealPoly2, trace: list):
+    """(case, unit direction) from the low-order terms of p0, traced.
+
+    A direction of None means: maximize p0 on each shrinking circle.
+    """
+    gx, gy = p0.dx().eval(0.0, 0.0), p0.dy().eval(0.0, 0.0)
+    gn = math.hypot(gx, gy)
+    if gn > _COEFF_TOL:
+        trace.append("gradient nonzero at 0")
+        return "gradient", complex(gx, gy) / gn
+
+    d, lead = _leading_data(p0)
+    if d is None:
+        raise PreconditionError("p0 is identically zero")
+    trace.append(f"leading homogeneous degree {d}")
+    A = lead.complex_coeffs(d)
+
+    if d == 2:
+        a11 = A.get((1, 1), 0j).real
+        a20 = 2.0 * A.get((2, 0), 0j)
+        if a11 > _COEFF_TOL:
+            trace.append(f"a11 = {a11:.6g} > 0: subharmonic circle search")
+            return "a11-positive", None
+        if abs(a20) > _COEFF_TOL:
+            theta = -cmath.phase(a20) / 2.0
+            trace.append(f"a11 ~ 0, a20 != 0: direction {theta:.6g}")
+            return "a20", cmath.exp(1j * theta)
+        trace.append("degenerate quadratic part")
+        return "generic-fallback", None
+
+    n = (d + 1) // 2
+    uppers = [(k, 2.0 * A.get((d - k, k), 0j)) for k in range(n)]
+    odd = d % 2 == 1
+    if odd or any(abs(c) > _COEFF_TOL for _, c in uppers):
+        # maximize Re g on the unit circle, g(Z) = sum_k w_k a_{d-k,k} Z^{d-2k}
+        # (coefficients doubled off-diagonal) with w_k = 1 for odd d = 2n-1
+        # and w_k = 1 - (2n-k) k / n^2 for even d = 2n
+        gcoef = [(d - 2 * k, c if odd else c * (1.0 - (d - k) * k / n**2))
+                 for k, c in uppers]
+        theta, _ = _max_on_circle(
+            lambda zc: sum((c * zc**e).real for e, c in gcoef), 1.0)
+        kind, label = ("odd", "circle") if odd else ("even", "weighted circle")
+        trace.append(f"{kind} leading degree {d}: {label} direction "
+                     f"{theta:.6g}")
+        return f"{kind}-leading", cmath.exp(1j * theta)
+    a_n = A.get((n, n), 0j).real
+    if a_n > _COEFF_TOL:
+        trace.append(f"even leading degree {d}, diagonal a_n = {a_n:.6g} > 0")
+        return "radial-subharmonic", None
+    trace.append("even leading degree with nonpositive diagonal")
+    return "generic-fallback", None
+
+
 def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
     """Find z* with 0 < |z*| < r1 and p0(z*) > 0, reporting the case used.
 
-    The candidate direction comes from the leading homogeneous part of p0;
-    the radius then shrinks (r -> r/2, budget 60) until p0 is positive at
-    the candidate or the budget runs out.
+    The candidate direction comes from the leading homogeneous part of p0
+    (see _ladder); the radius then shrinks (r -> r/2, budget 60) until p0
+    is positive at the candidate or the budget runs out.
     """
     if r1 <= 0:
         raise InvalidInputError("r1 must be positive")
@@ -303,88 +344,20 @@ def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
                           f"inequality near z = {zs:.3g}", stacklevel=2)
             break
 
-    def shrink(candidate_at, case):
-        r = r1 / 2.0
-        for _ in range(_SHRINK_BUDGET):
-            z = candidate_at(r)
-            val = p0(z)
-            if val > 0.0:
-                return DiamondResult(found=True, case=case, z_star=z,
-                                     p0_value=val, trace=tuple(trace))
-            r /= 2.0
-        trace.append(f"{case}: shrink budget exhausted")
-        return DiamondResult(found=False, case=case, trace=tuple(trace))
-
-    # Case (i): nonzero gradient at 0
-    gx, gy = p0.dx().eval(0.0, 0.0), p0.dy().eval(0.0, 0.0)
-    gn = math.hypot(gx, gy)
-    if gn > _COEFF_TOL:
-        trace.append("gradient nonzero at 0")
-        direction = complex(gx, gy) / gn
-        return shrink(lambda r: r * direction, "gradient")
-
-    d, lead = _leading_data(p0)
-    if d is None:
-        raise PreconditionError("p0 is identically zero")
-    trace.append(f"leading homogeneous degree {d}")
-    A = lead.complex_coeffs(d)
-
-    if d == 2:
-        a11 = A.get((1, 1), 0j).real
-        a20 = 2.0 * A.get((2, 0), 0j)
-        if a11 > _COEFF_TOL:
-            trace.append(f"a11 = {a11:.6g} > 0: subharmonic circle search")
-            return shrink(
-                lambda r: r * cmath.exp(1j * _max_on_circle(p0, r)[0]),
-                "a11-positive")
-        if abs(a20) > _COEFF_TOL:
-            theta = -cmath.phase(a20) / 2.0
-            trace.append(f"a11 ~ 0, a20 != 0: direction {theta:.6g}")
-            return shrink(lambda r: r * cmath.exp(1j * theta), "a20")
-        trace.append("degenerate quadratic part")
-        return shrink(
-            lambda r: r * cmath.exp(1j * _max_on_circle(p0, r)[0]),
-            "generic-fallback")
-
-    if d % 2 == 1:
-        # odd leading degree 2n-1: maximize Re g on the unit circle with
-        # g(Z) = sum_k a_{d-k,k} Z^{d-2k} (coefficients doubled off-diagonal)
-        n = (d + 1) // 2
-        gcoef = [(d - 2 * k, 2.0 * A.get((d - k, k), 0j))
-                 for k in range(n)]
-
-        def re_g(zc: complex) -> float:
-            return sum((c * zc**e).real for e, c in gcoef)
-
-        theta, _ = _max_on_circle(re_g, 1.0)
-        trace.append(f"odd leading degree {d}: circle direction {theta:.6g}")
-        return shrink(lambda r: r * cmath.exp(1j * theta), "odd-leading")
-
-    n = d // 2
-    uppers = [(k, 2.0 * A.get((d - k, k), 0j)) for k in range(n)]
-    a_n = A.get((n, n), 0j).real
-    if any(abs(c) > _COEFF_TOL for _, c in uppers):
-        # even leading degree with off-diagonal terms: weighted circle
-        # polynomial g(Z) = sum_k a_{2n-k} (1 - (2n-k) k / n^2) Z^{2n-2k}
-        gcoef = [(d - 2 * k, c * (1.0 - (d - k) * k / n**2))
-                 for k, c in uppers]
-
-        def re_g(zc: complex) -> float:
-            return sum((c * zc**e).real for e, c in gcoef)
-
-        theta, _ = _max_on_circle(re_g, 1.0)
-        trace.append(f"even leading degree {d}: weighted circle direction "
-                     f"{theta:.6g}")
-        return shrink(lambda r: r * cmath.exp(1j * theta), "even-leading")
-    if a_n > _COEFF_TOL:
-        trace.append(f"even leading degree {d}, diagonal a_n = {a_n:.6g} > 0")
-        return shrink(
-            lambda r: r * cmath.exp(1j * _max_on_circle(p0, r)[0]),
-            "radial-subharmonic")
-    trace.append("even leading degree with nonpositive diagonal")
-    return shrink(
-        lambda r: r * cmath.exp(1j * _max_on_circle(p0, r)[0]),
-        "generic-fallback")
+    case, unit = _ladder(p0, trace)
+    r = r1 / 2.0
+    for _ in range(_SHRINK_BUDGET):
+        if unit is None:
+            z = r * cmath.exp(1j * _max_on_circle(p0, r)[0])
+        else:
+            z = r * unit
+        val = p0(z)
+        if val > 0.0:
+            return DiamondResult(found=True, case=case, z_star=z,
+                                 p0_value=val, trace=tuple(trace))
+        r /= 2.0
+    trace.append(f"{case}: shrink budget exhausted")
+    return DiamondResult(found=False, case=case, trace=tuple(trace))
 
 
 @dataclass(frozen=True)
@@ -406,7 +379,7 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
     solution is reported).  r' halves until the far arc clears every sample.
     InvalidInputError for n_w_samples < 1.
     """
-    _dom._require_samples(n_w_samples, "n_w_samples")
+    _require_samples(n_w_samples, "n_w_samples")
     p0 = model.coeff(0)
     probe = max(abs(p0(0.5 * r1 * cmath.exp(1j * t)))
                 for t in np.linspace(0, 2 * math.pi, 64, endpoint=False))

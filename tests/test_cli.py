@@ -220,6 +220,29 @@ class TestRobinCommands:
                                 f"got {float(tol)}\n")
 
 
+    @pytest.mark.parametrize("argv, message", [
+        (["invariants", "--a-re", "2", "--b-re", "4", "--tol", "nan"],
+         "tol must be finite and >= 0, got nan"),
+        (["invariants", "--a-re", "2", "--b-re", "4", "--tol=-1"],
+         "tol must be finite and >= 0, got -1.0"),
+        (["reduce", "--a-re", "2", "--b-re", "inf", "--z-re", "1",
+          "--w-re", "1"], "multiplier b = (inf+0j) is not finite"),
+        (["classify", "--a-re", "2", "--b-re", "3", "--what", "orbit",
+          "--alpha-re", "nan", "--beta-re", "1"],
+         "field alpha = (nan+0j) is not finite"),
+        (["fiber", "--a-re", "2", "--b-re", "3", "--unit-field",
+          "--z-prime-re", "nan"], "fiber base z' = (nan+0j) is not finite"),
+    ])
+    def test_non_finite_input_exit_2(self, capsys, argv, message):
+        # a NaN tol used to exit 0 with invalid JSON; the non-finite values
+        # failed late with "cannot convert float NaN to integer"
+        code = main(argv)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 class TestParsing:
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit):

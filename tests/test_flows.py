@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,15 @@ class TestVectorField:
     def test_zero_field_rejected(self):
         with pytest.raises(InvalidInputError):
             VectorField(0j, 0j)
+
+    @pytest.mark.parametrize("alpha, beta, bad", [
+        (complex(math.nan, 0), 1 + 0j, "alpha = (nan+0j)"),
+        (1 + 0j, complex(0, math.inf), "beta = infj"),
+    ])
+    def test_non_finite_field_rejected(self, alpha, beta, bad):
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"field {bad} is not finite")):
+            VectorField(alpha, beta)
 
     def test_unit_field_time_one_is_deck_step(self):
         for params in (P23, P2M4,
@@ -89,6 +99,16 @@ class TestFiberSet:
     def test_zero_fiber_rejected(self):
         with pytest.raises(InvalidInputError):
             fiber_set(unit_field(P23), 0j, INV23, 10)
+
+
+    @pytest.mark.parametrize("z_prime", [complex(math.nan, 0),
+                                         complex(1, math.inf)])
+    def test_non_finite_fiber_rejected(self, z_prime):
+        for X in (unit_field(P23), VectorField(1 + 0j, 1 + 0j)):
+            with pytest.raises(InvalidInputError,
+                               match=re.escape(f"fiber base z' = {z_prime} "
+                                               "is not finite")):
+                fiber_set(X, z_prime, INV23, 10)
 
 
 class TestClassifyOrbitClosure:

@@ -1,6 +1,7 @@
 """Tests for multiplier invariants and the rationality case split."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,18 @@ class TestHopfParams:
     def test_rejects_b_smaller_than_a(self):
         with pytest.raises(InvalidInputError):
             HopfParams(3 + 0j, 2 + 0j)
+
+    @pytest.mark.parametrize("a, b, bad", [
+        (2 + 0j, complex(math.inf, 0), "b = (inf+0j)"),
+        (complex(math.nan, 0), 3 + 0j, "a = (nan+0j)"),
+        (complex(-math.inf, 1), complex(math.inf, 0), "a = (-inf+1j)"),
+        (2 + 0j, complex(3, math.nan), "b = (3+nanj)"),
+    ])
+    def test_rejects_non_finite_multipliers(self, a, b, bad):
+        # inf used to pass both modulus checks and fail later in math.floor
+        with pytest.raises(InvalidInputError,
+                           match=re.escape(f"multiplier {bad} is not finite")):
+            HopfParams(a, b)
 
     def test_args_are_in_principal_window(self):
         rng = np.random.default_rng(4)
@@ -64,6 +77,18 @@ class TestDetectRational:
             r = detect_rational(p / q, 1e-12, 10**6)
             assert r.kind == "ExactRational"
             assert abs(r.numerator / r.denominator - p / q) < 1e-12
+
+
+    @pytest.mark.parametrize("tol", [-1e-12, math.nan, math.inf])
+    def test_rejects_bad_tol(self, tol):
+        with pytest.raises(InvalidInputError,
+                           match=f"tol must be finite and >= 0, got {tol}"):
+            detect_rational(0.5, tol, 10**6)
+
+    def test_numeric_mode_rejects_nan_tol(self):
+        # a NaN tol used to reach the report and print as invalid JSON
+        with pytest.raises(InvalidInputError, match="tol must be finite"):
+            derive_invariants(HopfParams(2 + 0j, 4 + 0j), Numeric(tol=math.nan))
 
 
 class TestDeriveInvariants:

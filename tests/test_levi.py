@@ -78,6 +78,20 @@ class TestNumericJet:
         e2 = abs(numeric_jet(f, pt, h=0.1, richardson=False).d_zzbar - exact)
         assert e1 / e2 >= 3.5
 
+    @pytest.mark.parametrize("richardson, calls", [(True, 50), (False, 25)])
+    def test_psi_evaluations_per_jet(self, richardson, calls):
+        # one pass: f0, two axis points per real coordinate and four corners
+        # for each of the four mixed (z, w) pairs, 25 distinct points
+        seen = []
+
+        def psi(z, w):
+            seen.append((z, w))
+            return _sphere(z, w)
+
+        numeric_jet(psi, (0.6 + 0.2j, -0.3 + 0.7j), richardson=richardson)
+        assert len(seen) == calls
+        assert len(set(seen[:25])) == 25
+
 
 class TestPseudoconvexityScan:
     def test_level_band_is_levi_flat(self):
@@ -160,6 +174,47 @@ class TestDiamondSearch:
             assert res.found
             assert abs(res.z_star) < 0.5
             assert model.p[0](res.z_star) > 0
+
+
+# one boundary model per branch of the case ladder: (p0 coefficients, case,
+# trace); the two generic-fallback rows reach that label from d = 2 and d = 4
+_LADDER = [
+    ({(1, 0): 1.0, (0, 1): -2.0}, "gradient", ("gradient nonzero at 0",)),
+    ({(2, 0): 1.0, (0, 2): 1.0}, "a11-positive",
+     ("leading homogeneous degree 2",
+      "a11 = 1 > 0: subharmonic circle search")),
+    ({(2, 0): 1.0, (0, 2): -1.0}, "a20",
+     ("leading homogeneous degree 2", "a11 ~ 0, a20 != 0: direction -0")),
+    ({(2, 0): -1.0, (0, 2): -1.0}, "generic-fallback",
+     ("leading homogeneous degree 2", "degenerate quadratic part",
+      "generic-fallback: shrink budget exhausted")),
+    ({(3, 0): 1.0}, "odd-leading",
+     ("leading homogeneous degree 3",
+      "odd leading degree 3: circle direction 9.12506e-09")),
+    ({(4, 0): 1.0}, "even-leading",
+     ("leading homogeneous degree 4",
+      "even leading degree 4: weighted circle direction 6.45239e-09")),
+    ({(4, 0): 1.0, (2, 2): 2.0, (0, 4): 1.0}, "radial-subharmonic",
+     ("leading homogeneous degree 4",
+      "even leading degree 4, diagonal a_n = 1 > 0")),
+    ({(4, 0): -1.0, (2, 2): -2.0, (0, 4): -1.0}, "generic-fallback",
+     ("leading homogeneous degree 4",
+      "even leading degree with nonpositive diagonal",
+      "generic-fallback: shrink budget exhausted")),
+]
+
+
+class TestDiamondLadder:
+    @pytest.mark.filterwarnings("ignore:boundary model violates")
+    @pytest.mark.parametrize("coeffs, case, trace", _LADDER)
+    def test_case_and_trace(self, coeffs, case, trace):
+        model = BoundaryModel(p=(RealPoly2(coeffs),))
+        res = diamond_search(model, 1.0)
+        assert (res.case, res.trace) == (case, trace)
+        assert res.found == (not trace[-1].endswith("budget exhausted"))
+        if res.found:
+            assert 0 < abs(res.z_star) < 1.0
+            assert res.p0_value == model.p[0](res.z_star) > 0
 
 
 class TestSweepCover:
