@@ -18,6 +18,7 @@ import csv
 import functools
 import io
 import json
+import re
 import sys
 from dataclasses import asdict, astuple, fields
 
@@ -28,6 +29,8 @@ from .errors import InvalidInputError
 
 SCHEMA = 1
 DEFAULT_SEED = 12345
+# flag values such as "-0.5,0.5" or "-1e-3", beyond argparse's "-1" and "-.5"
+_NUMBER_LIKE = re.compile(r"^-\.?\d")
 
 
 def _c(ns, name) -> complex:
@@ -304,6 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def command(name, handler, help, params=True):
         p = sub.add_parser(name, help=help)
+        p._negative_number_matcher = _NUMBER_LIKE
         p.set_defaults(handler=handler)
         if params:
             _add_complex(p, "a", "b", required=True)

@@ -39,6 +39,9 @@ from . import domains as _dom
 _COEFF_TOL = 1e-12
 _SHRINK_BUDGET = 60
 _CIRCLE_GRID = 4096
+# e^{i theta} on the circle grid; power-of-two subgrids are slices of it
+_THETAS = np.linspace(0.0, 2 * math.pi, _CIRCLE_GRID, endpoint=False)
+_UNIT = np.array([cmath.exp(1j * t) for t in _THETAS])
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +87,12 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
     each real axis (shared by the first and pure second differences) and
     the four corners of each mixed (z, w) difference.  With richardson=True
     (default) the O(h^2) truncation term is eliminated by a second pass at
-    h/2, 50 evaluations in all.
+    h/2 that reuses the base point, 49 evaluations in all.
 
     Known limitation: near a coordinate axis the relative step is tiny and
     rounding spoils polynomial residuals: the unit sphere's Levi value 1
     comes out as 1 + 6.4e-5 at a point with |w| ~ 6e-3.
     """
-    if richardson:
-        j1 = numeric_jet(psi, point, h=h, richardson=False)
-        j2 = numeric_jet(psi, point, h=h / 2, richardson=False)
-        return Jet2(j1.value, *[(4 * getattr(j2, fd.name)
-                                 - getattr(j1, fd.name)) / 3
-                                for fd in fields(Jet2)[1:]])
     z0, w0 = complex(point[0]), complex(point[1])
     s1 = z0 if z0 != 0 else 1.0 + 0j
     s2 = w0 if w0 != 0 else 1.0 + 0j
@@ -109,32 +106,40 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
                          s2 * (c2 + complex(d[2], d[3]))))
 
     f0 = f()
-    axis = [(f((k, h)), f((k, -h))) for k in range(4)]
-    gx1, gy1, gx2, gy2 = [(p - m) / (2 * h) for p, m in axis]
-    hx1, hy1, hx2, hy2 = [(p - 2 * f0 + m) / h**2 for p, m in axis]
 
-    def mixed(i: int, j: int) -> float:
-        pp, pm = f((i, h), (j, h)), f((i, h), (j, -h))
-        mp, mm = f((i, -h), (j, h)), f((i, -h), (j, -h))
-        return (pp - pm - mp + mm) / (4 * h**2)
+    def one_pass(h: float) -> Jet2:
+        axis = [(f((k, h)), f((k, -h))) for k in range(4)]
+        gx1, gy1, gx2, gy2 = [(p - m) / (2 * h) for p, m in axis]
+        hx1, hy1, hx2, hy2 = [(p - 2 * f0 + m) / h**2 for p, m in axis]
 
-    m_x1x2, m_x1y2, m_y1x2, m_y1y2 = [mixed(i, j) for i in (0, 1)
-                                      for j in (2, 3)]
+        def mixed(i: int, j: int) -> float:
+            pp, pm = f((i, h), (j, h)), f((i, h), (j, -h))
+            mp, mm = f((i, -h), (j, h)), f((i, -h), (j, -h))
+            return (pp - pm - mp + mm) / (4 * h**2)
 
-    # jet of the pulled-back function, then the chain rule undoes the scaling
-    d_zeta = 0.5 * complex(gx1, -gy1)
-    d_omega = 0.5 * complex(gx2, -gy2)
-    d_zzb = 0.25 * (hx1 + hy1)
-    d_wwb = 0.25 * (hx2 + hy2)
-    d_zwb = 0.25 * complex(m_x1x2 + m_y1y2, m_x1y2 - m_y1x2)
-    return Jet2(
-        value=f0,
-        d_z=d_zeta / s1,
-        d_w=d_omega / s2,
-        d_zzbar=d_zzb / abs(s1) ** 2,
-        d_wwbar=d_wwb / abs(s2) ** 2,
-        d_zwbar=d_zwb / (s1 * s2.conjugate()),
-    )
+        m_x1x2, m_x1y2, m_y1x2, m_y1y2 = [mixed(i, j) for i in (0, 1)
+                                          for j in (2, 3)]
+
+        # jet of the pulled-back function; the chain rule undoes the scaling
+        d_zeta = 0.5 * complex(gx1, -gy1)
+        d_omega = 0.5 * complex(gx2, -gy2)
+        d_zzb = 0.25 * (hx1 + hy1)
+        d_wwb = 0.25 * (hx2 + hy2)
+        d_zwb = 0.25 * complex(m_x1x2 + m_y1y2, m_x1y2 - m_y1x2)
+        return Jet2(
+            value=f0,
+            d_z=d_zeta / s1,
+            d_w=d_omega / s2,
+            d_zzbar=d_zzb / abs(s1) ** 2,
+            d_wwbar=d_wwb / abs(s2) ** 2,
+            d_zwbar=d_zwb / (s1 * s2.conjugate()),
+        )
+
+    if not richardson:
+        return one_pass(h)
+    j1, j2 = one_pass(h), one_pass(h / 2)
+    return Jet2(j1.value, *[(4 * getattr(j2, fd.name) - getattr(j1, fd.name))
+                            / 3 for fd in fields(Jet2)[1:]])
 
 
 @dataclass(frozen=True)
@@ -214,12 +219,13 @@ def levi2_residual(model: BoundaryModel, z: complex) -> float:
 
     (1 + p1^2) Lap(p0)/4 - 2 Re{ p1_z p0_zbar (-i + p1) } + 2 p2 |p0_z|^2;
     nonnegative for all z iff the graph bounds a pseudoconvex side at u = 0.
+    Elementwise when z is a complex array.
     """
     p0, p1, p2 = model.coeff(0), model.coeff(1), model.coeff(2)
     p1v = p1(z)
     t1 = (1.0 + p1v**2) * p0.laplacian(z) / 4.0
     p1_z, p0_z = p1.wirtinger_z(z), p0.wirtinger_z(z)
-    t2 = -2.0 * (p1_z * p0_z.conjugate() * complex(p1v, -1.0)).real
+    t2 = -2.0 * (p1_z * p0_z.conjugate() * (p1v - 1j)).real
     t3 = 2.0 * p2(z) * abs(p0_z) ** 2
     return t1 + t2 + t3
 
@@ -233,15 +239,13 @@ class DiamondResult:
     trace: tuple = ()
 
 
-def _max_on_circle(fn: Callable, r: float, grid: int = _CIRCLE_GRID):
-    """(theta*, value) maximizing fn(r e^{i theta}); grid plus golden refine."""
-    thetas = np.linspace(0.0, 2 * math.pi, grid, endpoint=False)
-    vals = np.array([fn(r * cmath.exp(1j * t)) for t in thetas])
-    i = int(np.argmax(vals))
-    span = 2 * math.pi / grid
-    lo, hi = thetas[i] - span, thetas[i] + span
+def _max_on_circle(fn: Callable, r: float):
+    """(theta*, value) maximizing fn(r e^{i theta}): one call of fn on the
+    complex array r * _UNIT (the grid), then a scalar golden-section refine."""
+    i = int(np.argmax(fn(r * _UNIT)))
+    span = 2 * math.pi / _CIRCLE_GRID
+    a, b = _THETAS[i] - span, _THETAS[i] + span
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc = fn(r * cmath.exp(1j * c))
@@ -337,12 +341,11 @@ def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
     trace = []
 
     # curvature sanity: warn if the graph inequality fails nearby
-    for t in np.linspace(0, 2 * math.pi, 8, endpoint=False):
-        zs = 0.3 * r1 * cmath.exp(1j * t)
-        if levi2_residual(model, zs) < -1e-9:
-            warnings.warn("boundary model violates the graph pseudoconvexity "
-                          f"inequality near z = {zs:.3g}", stacklevel=2)
-            break
+    ring = 0.3 * r1 * _UNIT[::_CIRCLE_GRID // 8]
+    bad = ring[levi2_residual(model, ring) < -1e-9]
+    if bad.size:
+        warnings.warn("boundary model violates the graph pseudoconvexity "
+                      f"inequality near z = {bad[0]:.3g}", stacklevel=2)
 
     case, unit = _ladder(p0, trace)
     r = r1 / 2.0
@@ -381,8 +384,7 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
     """
     _require_samples(n_w_samples, "n_w_samples")
     p0 = model.coeff(0)
-    probe = max(abs(p0(0.5 * r1 * cmath.exp(1j * t)))
-                for t in np.linspace(0, 2 * math.pi, 64, endpoint=False))
+    probe = np.abs(p0(0.5 * r1 * _UNIT[::_CIRCLE_GRID // 64])).max()
     if probe <= 1e-14:
         raise PreconditionError("p0 vanishes identically on the probe circle")
 
@@ -399,29 +401,28 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
         if u * u + v * v <= 1.0:
             disk.append((u, v))
 
-    def f(s: float, u: float, v: float) -> float:
+    def f(s, u, v):  # elementwise over arrays
         return v - model.arc_v(s * z_star, u)
 
+    disk = np.array(disk).T
     r_prime = min(r1, P) / 2.0
     for _ in range(_SHRINK_BUDGET):
-        samples = [(r_prime * u, r_prime * v) for u, v in disk]
-        samples = [(u, v) for u, v in samples if f(0.0, u, v) < 0.0]
-        if all(f(1.0, u, v) > 0.0 for u, v in samples):
+        u, v = r_prime * disk
+        below = f(0.0, u, v) < 0.0
+        u, v = u[below], v[below]
+        if np.all(f(1.0, u, v) > 0.0):
             break
         r_prime /= 2.0
     else:
         raise PreconditionError("could not certify a covering radius")
 
-    max_res = 0.0
-    for u, v in samples:
-        lo, hi = 0.0, 1.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if f(mid, u, v) < 0.0:
-                lo = mid
-            else:
-                hi = mid
-        max_res = max(max_res, abs(f(0.5 * (lo + hi), u, v)))
+    # bisection for s in [0, 1], all samples in lockstep
+    lo, hi = np.zeros(len(u)), np.ones(len(u))
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        neg = f(mid, u, v) < 0.0
+        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+    max_res = float(np.abs(f(0.5 * (lo + hi), u, v)).max(initial=0.0))
 
-    return SweepReport(r_prime=r_prime, z_star=z_star, n_covered=len(samples),
+    return SweepReport(r_prime=r_prime, z_star=z_star, n_covered=len(u),
                        max_arc_residual=max_res, diamond_case=dres.case)

@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import InvalidInputError
 
 MAX_DEGREE = 16
@@ -36,12 +38,18 @@ class RealPoly2:
 
     # -- evaluation ---------------------------------------------------------
 
-    def eval(self, x: float, y: float) -> float:
+    def eval(self, x, y):
+        """Value at (x, y): a float for floats; for numpy arrays, an ndarray
+        of the broadcast shape (0-d too), equal up to rounding."""
+        if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+            x, y = np.asarray(x, float), np.asarray(y, float)
+            return np.asarray(sum((c * x**i * y**j for (i, j), c in
+                                   self.coeffs.items()),
+                                  np.zeros(np.broadcast(x, y).shape)))
         return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
 
-    def __call__(self, z: complex) -> float:
-        z = complex(z)
-        return self.eval(z.real, z.imag)
+    def __call__(self, z):
+        return self.eval(*_xy(z))
 
     # -- calculus -----------------------------------------------------------
 
@@ -53,13 +61,14 @@ class RealPoly2:
         return RealPoly2({(i, j - 1): c * j
                           for (i, j), c in self.coeffs.items() if j > 0})
 
-    def wirtinger_z(self, z: complex) -> complex:
-        """(d/dx - i d/dy)/2 at z."""
-        x, y = complex(z).real, complex(z).imag
-        return 0.5 * complex(self.dx().eval(x, y), -self.dy().eval(x, y))
+    def wirtinger_z(self, z):
+        """(d/dx - i d/dy)/2 at z (or elementwise on an array)."""
+        x, y = _xy(z)
+        gx, gy = self.dx().eval(x, y), self.dy().eval(x, y)
+        return 0.5 * (gx - 1j * gy if np.ndim(gx) else complex(gx, -gy))
 
-    def laplacian(self, z: complex) -> float:
-        x, y = complex(z).real, complex(z).imag
+    def laplacian(self, z):
+        x, y = _xy(z)
         return (self.dx().dx().eval(x, y) + self.dy().dy().eval(x, y))
 
     # -- algebra ------------------------------------------------------------
@@ -118,6 +127,12 @@ class RealPoly2:
 
 
 ZERO = RealPoly2({})
+
+
+def _xy(z):
+    """(Re z, Im z): Python floats for a scalar, arrays for an ndarray."""
+    z = z if isinstance(z, np.ndarray) else complex(z)
+    return z.real, z.imag
 
 
 def from_complex_term(a: complex, r: int, s: int) -> RealPoly2:

@@ -254,6 +254,29 @@ class TestParsing:
                   "domain", "--domain", "pretzel"])
 
 
+_BAND = ["--a-re", "2", "--b-re", "3", "--domain", "level-band", "--k1", "0.5",
+         "--k2", "2"]
+
+
+class TestNegativeValues:
+    # a value that starts with "-" may follow its flag as a separate token,
+    # with the same result as the "--flag=value" spelling
+    @pytest.mark.parametrize("argv, flag, value", [
+        (["tangency", *_BAND, "--unit-field", "--n-samples", "10"],
+         "--t-grid", "-0.5,0.5"),
+        (["psh-check", *_BAND, "--direction", "0,0,1,0", "--grid-n", "4",
+          "--n-walks", "256"], "--anchor", "-1,0,1,0"),
+        (["boundary-exp", *_BAND, "--n-walks", "256"], "--anchor",
+         "-1.5,0,1.5,0"),
+        (["robin", "--shape", "ball", "--radius", "1", "--pole", "0", "0",
+          "0", "0", "--n-walks", "256"], "--offset", "-1e-3"),
+    ])
+    def test_separate_token(self, capsys, argv, flag, value):
+        code, doc = run_cli(capsys, *argv, flag, value)
+        assert code == 0
+        assert run_cli(capsys, *argv, f"{flag}={value}") == (0, doc)
+
+
 class TestDomainFlags:
     @pytest.mark.parametrize("argv, message", [
         (["classify", "--what", "domain", "--domain", "level-band",

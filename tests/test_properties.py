@@ -1,4 +1,5 @@
-"""Property tests for fundamental-shell reduction over the whole float range.
+"""Property tests for fundamental-shell reduction over the whole float range,
+and for array evaluation of RealPoly2.
 
 Points are drawn with log-moduli from the smallest subnormal up to DBL_MAX,
 either as (log-modulus, phase) pairs or as raw float components, which also
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from hopfsurf.cli import main
 from hopfsurf.errors import InvalidInputError
 from hopfsurf.invariants import HopfParams
+from hopfsurf.poly import MAX_DEGREE, RealPoly2
 from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
                                u_value)
 
@@ -156,3 +158,44 @@ def test_cli_reduce_exits_0_or_2(x, ab):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 2), err.getvalue()
+
+
+# magnitudes in [1e-3, 1e3] or 0: degree-16 terms neither overflow, which
+# raises in scalar float pow, nor fall into the subnormal range, where a
+# relative bound on the rounding means nothing
+_moduli = st.builds(lambda m, s: s * m, st.floats(1e-3, 1e3),
+                    st.sampled_from([-1.0, 1.0]))
+_reals = st.one_of(st.just(0.0), _moduli)
+
+
+@st.composite
+def polynomials(draw):
+    """A nonzero RealPoly2 with up to 8 monomials of degree <= MAX_DEGREE."""
+    keys = draw(st.lists(
+        st.tuples(st.integers(0, MAX_DEGREE), st.integers(0, MAX_DEGREE))
+        .filter(lambda k: sum(k) <= MAX_DEGREE),
+        min_size=1, max_size=8, unique=True))
+    return RealPoly2({k: draw(_moduli) for k in keys})
+
+
+@PROPERTY
+@given(poly=polynomials(), shape=st.sampled_from([(), (1,), (5,), (2, 3)]),
+       data=st.data())
+def test_array_eval_matches_scalar_eval(poly, shape, data):
+    n = math.prod(shape)
+    x = np.array(data.draw(st.lists(_reals, min_size=n, max_size=n)))
+    y = np.array(data.draw(st.lists(_reals, min_size=n, max_size=n)))
+    x, y = x.reshape(shape), y.reshape(shape)
+    z = np.asarray(x + 1j * y)  # 0-d stays an ndarray
+    by_xy, by_z = poly.eval(x, y), poly(z)
+    for out in (by_xy, by_z):
+        assert isinstance(out, np.ndarray) and out.shape == shape
+    for k in np.ndindex(shape):
+        xk, yk, zk = float(x[k]), float(y[k]), complex(z[k])
+        scalar = poly.eval(xk, yk)
+        assert type(scalar) is float and type(poly(zk)) is float
+        for arr, pt in ((by_xy, (xk, yk)), (by_z, (zk.real, zk.imag))):
+            terms = [c * pt[0]**i * pt[1]**j
+                     for (i, j), c in poly.coeffs.items()]
+            tol = 4 * EPS * math.fsum(map(abs, terms))
+            assert abs(arr[k] - poly.eval(*pt)) <= tol
