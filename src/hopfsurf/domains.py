@@ -39,7 +39,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .errors import (CaseError, EvaluationError, InvalidInputError,
-                     PreconditionError, _require_samples, _require_tol)
+                     PreconditionError, _require_samples, _require_nonneg)
 from .invariants import HopfParams, InvariantSet, _arg01
 from .quotient import (_in_fundamental_domain, _log_modulus, _modulus,
                        reduce_point, reduce_points)
@@ -437,23 +437,32 @@ class ModulusRegion(TranslatedDomain):
         return (best - _DIST_TOL, best + _DIST_TOL)
 
     def wos_domain(self):
+        """Certified lower bound on the distance to the boundary in R^4.
+
+        With s1 = |xi|, s2 = |eta|, F = log s2 - rho log s1 and L =
+        hypot(rho/s1, 1/s2), the bound is the least gap / (L + gap/s) over
+        the finite ends: gap = hi - F, s = s1 (upper) and gap = F - lo,
+        s = s2 (lower); an infinite end's coordinate torus lies inside.
+        Proof (upper end): a step of length r changes |xi|, |eta| by r1,
+        r2 with r1^2 + r2^2 <= r^2, so F grows by at most r2/s2 +
+        rho r1/(s1 - r) <= r L / (1 - r/s1), which is < gap exactly when
+        r < gap / (L + gap/s1); the lower end is the same with s2.
+        """
         from .robin import GenericSolvable
         lo, hi, rho = self.log_k1, self.log_k2, self.rho
 
         def dist(x):
             x = np.atleast_2d(x)
-            rxi = np.hypot(x[:, 0], x[:, 1])
-            reta = np.hypot(x[:, 2], x[:, 3])
-            with np.errstate(divide="ignore"):
-                F = np.log(reta) - rho * np.log(rxi)
-            gap = np.minimum(F - lo, hi - F)
-            gap = np.where(np.isnan(gap), 0.0, np.maximum(gap, 0.0))
-            # local Lipschitz bound of F, halved for safety since it is not
-            # global: steps never overshoot in practice but the distance is
-            # a heuristic lower bound, flagged qualitative
-            L = np.sqrt((rho / np.maximum(rxi, 1e-300)) ** 2
-                        + (1.0 / np.maximum(reta, 1e-300)) ** 2)
-            return 0.5 * gap / L
+            s1, s2 = np.hypot(x[:, 0], x[:, 1]), np.hypot(x[:, 2], x[:, 3])
+            out = np.full(len(x), np.inf)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                F = np.log(s2) - rho * np.log(s1)
+                L = np.hypot(rho / s1, 1.0 / s2)
+                for end, gap, s in ((hi, hi - F, s1), (lo, F - lo, s2)):
+                    if math.isfinite(end):
+                        gap = np.maximum(gap, 0.0)  # 0 outside, NaN kept
+                        out = np.minimum(out, gap / (L + gap / s))
+            return np.where(np.isnan(out), 0.0, out)
 
         return GenericSolvable(distance_fn=dist)
 
@@ -566,7 +575,7 @@ def tangency_check(spec, X: VectorField, n_samples: int, t_grid,
     n_samples < 1 or a tol that is negative or not finite.
     """
     _require_samples(n_samples)
-    _require_tol(tol)
+    _require_nonneg(tol)
     rng = np.random.default_rng(seed)
     boundary = _boundary_samples(spec, n_samples, params, inv, rng)
     boundary = [pt for pt in boundary

@@ -34,9 +34,9 @@ def _require_samples(n: int, name: str = "n_samples") -> None:
         raise InvalidInputError(f"{name} must be >= 1, got {n}")
 
 
-def _require_tol(tol: float) -> None:
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise InvalidInputError(f"tol must be finite and >= 0, got {tol}")
+def _require_nonneg(x: float, name: str = "tol") -> None:
+    if not (math.isfinite(x) and x >= 0.0):
+        raise InvalidInputError(f"{name} must be finite and >= 0, got {x}")
 
 
 def _require_finite(label: str, x: complex) -> None:

@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import (CaseError, ConsistencyError, InvalidInputError,
-                     _require_finite, _require_tol)
+                     _require_finite, _require_nonneg)
 
 TWO_PI = 2.0 * math.pi
 
@@ -154,7 +154,7 @@ def detect_rational(x: float, tol: float, max_den: int) -> RationalityResult:
     """
     if not math.isfinite(x):
         raise InvalidInputError(f"x must be finite, got {x}")
-    _require_tol(tol)
+    _require_nonneg(tol)
     if max_den < 1:
         raise InvalidInputError("max_den must be >= 1")
 

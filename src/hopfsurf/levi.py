@@ -31,7 +31,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (EvaluationError, InvalidInputError, PreconditionError,
-                     _require_samples, _require_tol)
+                     _require_samples, _require_nonneg)
 from .invariants import HopfParams
 from .poly import ZERO, RealPoly2
 from . import domains as _dom
@@ -160,7 +160,7 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
     finite.
     """
     _require_samples(n_samples)
-    _require_tol(tol)
+    _require_nonneg(tol)
     rng = np.random.default_rng(seed)
     pts = _dom._boundary_samples(spec, n_samples, params, inv, rng)
     if not pts:

@@ -10,9 +10,10 @@ so lambda ("the Robin constant") is estimated as
 
 where X_exit is the first boundary hit of a walk-on-spheres path started at
 the pole (epsilon-shell termination, exit point projected to the boundary
-where a projection is available).  Walks that leave the escape radius
-contribute zero kernel, which matches the o(1) tail of the unbounded
-domains used here.
+where a projection is available).  Step radii are exact distances (ball,
+half-space) or certified lower bounds (translated modulus regions), so no
+step leaves the domain.  Walks that leave the escape radius contribute zero
+kernel, which matches the o(1) tail of the unbounded domains used here.
 
 Closed-form oracles: a ball of radius R with a centered pole has
 lambda = -1/R^2; a half-space with the pole at distance d has
@@ -22,8 +23,8 @@ lambda = -1/(4 cos^2 theta).
 
 A positive zeroth-order coefficient c (operator Laplacian minus c) is
 supported through per-step survival factors; the matching functional is
-certified against an ODE oracle for centered balls only and is flagged
-qualitative elsewhere.
+certified against an ODE oracle for centered balls only.  Off the centered
+ball it is qualitative, the one qualitative estimate left in this module.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.integrate import solve_ivp
 from scipy.special import i1 as _bessel_i1
 
-from .errors import EvaluationError, InvalidInputError
+from .errors import EvaluationError, InvalidInputError, _require_nonneg
 from . import domains as _domains
 
 KERNEL_NORMALIZATION = "G(x) = |x - pole|^-2 + lambda + o(1)"
@@ -173,6 +174,15 @@ def _survival_factor(r: np.ndarray, c: float) -> np.ndarray:
     return out
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(v, axis=-1) of (n, 4) rows: same sum order, same bits."""
+    s = v * v
+    n = s[:, 0] + s[:, 1]
+    n += s[:, 2]
+    n += s[:, 3]
+    return np.sqrt(n)
+
+
 def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
     """Run nb walks from the pole, stepping and drawing for live walks only.
 
@@ -188,20 +198,22 @@ def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
         d = domain.distance(pos)
         hit = d <= eps
         if hit.any():
-            r = np.linalg.norm(domain.project(pos[hit]) - pole, axis=-1)
+            r = _norm(domain.project(pos.compress(hit, axis=0)) - pole)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
-            contrib[idx[hit]] = weight[hit] * kernel(r)
-        far = ~hit & (np.linalg.norm(pos - pole, axis=-1) >= r_max)
+            contrib[idx.compress(hit)] = weight.compress(hit) * kernel(r)
+        far = ~hit & (_norm(pos - pole) >= r_max)
         escaped += int(far.sum())
         keep = ~(hit | far)
-        pos, weight, d, idx = pos[keep], weight[keep], d[keep], idx[keep]
+        pos, weight, d, idx = (a.compress(keep, axis=0)
+                               for a in (pos, weight, d, idx))
         if not len(idx):
             return contrib, 0, escaped
         dirs = rng.standard_normal((len(idx), 4))
-        dirs /= np.linalg.norm(dirs, axis=-1, keepdims=True)
+        dirs /= _norm(dirs)[:, None]
         if c_weight > 0.0:
             weight *= _survival_factor(d, c_weight)
-        pos += d[:, None] * dirs
+        dirs *= d[:, None]
+        pos += dirs
     return contrib, len(idx), escaped
 
 
@@ -217,9 +229,7 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     """
     if n_walks < 1:
         raise InvalidInputError("n_walks must be >= 1")
-    if not (math.isfinite(c_weight) and c_weight >= 0):
-        raise InvalidInputError("c_weight must be finite and >= 0, "
-                                f"got {c_weight}")
+    _require_nonneg(c_weight, "c_weight")
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,) or not np.isfinite(pole).all():
         raise InvalidInputError(f"pole must be a finite 4-vector, got {pole}")
@@ -378,6 +388,7 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
     """
     if grid_n < 3:
         raise InvalidInputError("grid_n must be >= 3")
+    _require_nonneg(disk_radius, "disk_radius")
     dz, dw = complex(direction[0]), complex(direction[1])
     z0, w0 = complex(anchor[0]), complex(anchor[1])
 

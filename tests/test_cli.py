@@ -258,6 +258,21 @@ _BAND = ["--a-re", "2", "--b-re", "3", "--domain", "level-band", "--k1", "0.5",
          "--k2", "2"]
 
 
+class TestPshCheckInputs:
+    @pytest.mark.parametrize("radius", ["nan", "inf", "-0.1"])
+    def test_bad_disk_radius_exit_2(self, capsys, radius):
+        # nan and inf used to fail late on a "coordinate is not finite"
+        # message; a negative radius was accepted
+        code = main(["psh-check", *_BAND, "--anchor", "1.2,0,1.2,0",
+                     "--direction", "0,0,1,0", "--n-walks", "256",
+                     f"--disk-radius={radius}"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: disk_radius must be finite and >= 0, "
+                                f"got {float(radius)}\n")
+
+
 class TestNegativeValues:
     # a value that starts with "-" may follow its flag as a separate token,
     # with the same result as the "--flag=value" spelling

@@ -1,5 +1,5 @@
 """Property tests for fundamental-shell reduction over the whole float range,
-and for array evaluation of RealPoly2.
+for array evaluation of RealPoly2 and for the walk-on-spheres distances.
 
 Points are drawn with log-moduli from the smallest subnormal up to DBL_MAX,
 either as (log-modulus, phase) pairs or as raw float components, which also
@@ -17,13 +17,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.optimize import minimize_scalar
 
 from hopfsurf.cli import main
-from hopfsurf.errors import InvalidInputError
+from hopfsurf.domains import (LevelBand, SubLevel, SuperLevel,
+                              translate_domain)
+from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams
 from hopfsurf.poly import MAX_DEGREE, RealPoly2
 from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
                                u_value)
+from hopfsurf.robin import _norm
 
 EPS = sys.float_info.epsilon
 DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
@@ -199,3 +203,112 @@ def test_array_eval_matches_scalar_eval(poly, shape, data):
                      for (i, j), c in poly.coeffs.items()]
             tol = 4 * EPS * math.fsum(map(abs, terms))
             assert abs(arr[k] - poly.eval(*pt)) <= tol
+
+
+# magnitudes from 1e-300 to 1e300: squares underflow to 0 and overflow to inf
+_wide = st.one_of(st.just(0.0), st.builds(
+    lambda m, e, s: s * m * 10.0**e, st.floats(1.0, 10.0),
+    st.floats(-300.0, 300.0), st.sampled_from([-1.0, 1.0])))
+
+
+@PROPERTY
+@given(rows=st.lists(st.tuples(_wide, _wide, _wide, _wide), max_size=5))
+def test_norm_matches_linalg_norm_bit_for_bit(rows):
+    v = np.array(rows, dtype=float).reshape(-1, 4)
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = _norm(v), np.linalg.norm(v, axis=-1)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _curve_distance(p1, p2, k, rho):
+    """Distance from (p1, p2) to the increasing curve s2 = k s1^rho.
+
+    The foot point lies between the point's vertical and horizontal
+    projections onto the curve, s1 in [p1, (p2/k)^(1/rho)]; a 1001-point
+    scan of that bracket is refined by a bounded scalar minimization, so
+    the result never falls below the true distance beyond rounding.
+    """
+    a, b = sorted((p1, (p2 / k) ** (1.0 / rho)))
+
+    def d2(t):
+        return (t - p1) ** 2 + (k * t**rho - p2) ** 2
+
+    t = np.linspace(a, b, 1001)
+    j = int(np.argmin(d2(t)))
+    res = minimize_scalar(d2, bounds=(t[max(j - 1, 0)], t[min(j + 1, 1000)]),
+                          method="bounded", options={"xatol": 1e-15 * b})
+    return math.sqrt(min(res.fun, d2(t[j])))
+
+
+def _brute_distance(td, s1, s2):
+    """Distance from moduli (s1, s2) to the complement of a ModulusRegion:
+    the finite-end curves, plus each coordinate axis outside the region."""
+    out = math.inf
+    for log_k, axis in ((td.log_k1, s2), (td.log_k2, s1)):
+        if math.isfinite(log_k):
+            out = min(out, axis, _curve_distance(s1, s2, math.exp(log_k),
+                                                 td.rho))
+    return out
+
+
+@st.composite
+def modulus_translates(draw):
+    """A LevelBand, SubLevel or SuperLevel translate at a random anchor."""
+    params = draw(multipliers(1.1, 8.0))
+    lk1 = draw(st.floats(-2.0, 1.0))
+    lk2 = lk1 + draw(st.floats(0.1, 3.0))
+    kind = draw(st.sampled_from(["band", "sub", "super"]))
+    spec, lo, hi = {"band": (LevelBand(math.exp(lk1), math.exp(lk2)), lk1, lk2),
+                    "sub": (SubLevel(math.exp(lk2)), lk2 - 4.0, lk2),
+                    "super": (SuperLevel(math.exp(lk1)), lk1, lk1 + 4.0)}[kind]
+    z = cmath.rect(math.exp(draw(st.floats(-1.0, 1.0))), draw(phases))
+    log_k = lo + draw(st.floats(0.05, 0.95)) * (hi - lo)
+    w = cmath.rect(math.exp(log_k) * abs(z) ** params.rho, draw(phases))
+    try:
+        return translate_domain(spec, (z, w), params)
+    except EvaluationError:   # the reduced anchor rounded onto the boundary
+        assume(False)
+
+
+# moduli near both axes and the cusp at the origin, or on a finite-end curve
+_log_moduli = st.floats(-12.0, 3.0)
+
+
+@PROPERTY
+@given(td=modulus_translates(),
+       pts=st.lists(st.tuples(_log_moduli, _log_moduli, phases, phases,
+                              st.sampled_from(["free", "lower", "upper"])),
+                    max_size=6),
+       seed=st.integers(0, 2**32 - 1))
+def test_modulus_distance_is_a_certified_lower_bound(td, pts, seed):
+    # plus 24 log-uniform points, which fill the cusp region evenly
+    rng = np.random.default_rng(seed)
+    pts = pts + [(*rng.uniform(-12.0, 3.0, 2), *rng.uniform(-3.0, 3.0, 2),
+                  "free") for _ in range(24)]
+    x = []
+    for l1, l2, p1, p2, where in pts:
+        end = {"free": None, "lower": td.log_k1, "upper": td.log_k2}[where]
+        if end is not None and math.isfinite(end):
+            l2 = end + td.rho * l1     # on the boundary curve
+        z, w = cmath.rect(math.exp(l1), p1), cmath.rect(math.exp(l2), p2)
+        x.append([z.real, z.imag, w.real, w.imag])
+    x = np.array(x)
+    d = td.wos_domain().distance(x)
+    for xi, di in zip(x, d):
+        s1, s2 = math.hypot(xi[0], xi[1]), math.hypot(xi[2], xi[3])
+        F = math.log(s2) - td.rho * math.log(s1)
+        margin = min(F - td.log_k1, td.log_k2 - F)
+        assert 0.0 <= di <= (_brute_distance(td, s1, s2) * (1.0 + 1e-9)
+                             + 1e-12 * min(s1, s2))
+        if margin < -1e-9:
+            assert di == 0.0
+        elif margin > 1e-9:
+            assert di > 0.0
+    # the coordinate axis beyond each finite end lies outside
+    axes = []
+    if math.isfinite(td.log_k2):
+        axes.append([0.0, 0.0, 1.0, 0.0])   # xi = 0
+    if math.isfinite(td.log_k1):
+        axes.append([1.0, 0.0, 0.0, 0.0])   # eta = 0
+    assert not td.wos_domain().distance(np.array(axes)).any()

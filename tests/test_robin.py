@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from hopfsurf.domains import LevelBand, Nemirovskii, translate_domain
+from hopfsurf.domains import (LevelBand, Nemirovskii, SubLevel, SuperLevel,
+                              distance_to_identity, translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.robin import (Ball, ExperimentBudget, GenericSolvable,
@@ -252,6 +253,61 @@ class TestPshSpotCheck:
                              budget=ExperimentBudget(n_walks=2000, seed=5))
         assert rep.residual == 0.0
         assert rep.consistent
+
+    def test_zero_disk_radius_is_the_degenerate_control(self):
+        spec = Nemirovskii(1.0, 0.0)
+        rep = psh_spot_check(spec, (1 + 0j, -1 + 0j), (0.3 + 0.1j, 0j), 0.0,
+                             3, P24, inv=INV24,
+                             budget=ExperimentBudget(n_walks=500, seed=5))
+        assert rep.residual == 0.0
+
+    @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.1])
+    def test_bad_disk_radius_rejected(self, radius):
+        with pytest.raises(InvalidInputError,
+                           match=f"disk_radius must be finite and >= 0, "
+                                 f"got {radius}"):
+            psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
+                           (0j, 1 + 0j), radius, 3, P24, inv=INV24,
+                           budget=ExperimentBudget(n_walks=100, seed=5))
+
+
+P23 = HopfParams(2 + 0j, 3 + 0j)
+INV23 = derive_invariants(P23, Numeric())
+
+
+class TestCertifiedModulusDistance:
+    def test_cusp_point_does_not_overshoot(self):
+        # the halved local Lipschitz bound returned 0.0021 here, about
+        # twice the true distance of 0.0011
+        td = translate_domain(SuperLevel(1.5), (0.3 + 0j, 1.5 + 0j), P23,
+                              INV23)
+        s1, s2 = 0.0025, 0.0011
+        d = td.wos_domain().distance(np.array([[s1, 0.0, s2, 0.0]]))[0]
+        # (s1, k s1^rho) lies on the boundary straight below the point
+        below = s2 - math.exp(td.log_k1) * s1 ** td.rho
+        assert 0.0 < d <= below < 0.0011
+
+    @pytest.mark.parametrize("spec, anchor", [
+        (LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j)),
+        (LevelBand(0.5, 2.0), (1.2 + 0j, 1.2 + 0j)),
+        (SubLevel(1.5), (1.5 + 0j, 0.3 + 0j)),
+        (SuperLevel(1.5), (0.3 + 0j, 1.5 + 0j))])
+    def test_identity_distance_within_the_bracket(self, spec, anchor):
+        td = translate_domain(spec, anchor, P23, INV23)
+        d = td.wos_domain().distance(E[None])[0]
+        assert 0.0 < d <= distance_to_identity(td)[1]
+
+    def test_level_band_walks_take_few_steps(self):
+        td = translate_domain(LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j), P23,
+                              INV23)
+        lo, _ = distance_to_identity(td)
+        dom = CountingDomain(solvable_from_translate(td))
+        est = robin_constant(dom, E, 20_000, 1)
+        # the halved local Lipschitz bound took 196 rows per walk here
+        assert sum(dom.rows) / est.n_walks <= 60
+        assert est.truncated_walks == 0
+        # the inscribed ball of radius lo bounds lambda from below
+        assert est.lambda_hat >= -1.0 / lo**2 - 3 * est.stderr
 
 
 class TestSolvableAdapter:
