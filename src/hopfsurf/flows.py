@@ -16,9 +16,10 @@ equidistribution discrepancy, modulus decay).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +30,7 @@ from .quotient import HopfPoint, reduce_point
 PROPORTIONALITY_TOL = 1e-10
 _DEDUP_TOL = 1e-12
 _EXP_CLIP = 700.0  # beyond this the float value over/underflows
+_FIRST_BLOCK = 64  # first fiber block, and the margin of later ones
 
 
 @dataclass(frozen=True)
@@ -79,24 +81,25 @@ def star_discrepancy(angles: Sequence[float]) -> float:
     return float(np.max(np.maximum(i / n - x, x - (i - 1) / n)))
 
 
-def _spiral_indices() -> Iterator[int]:
-    yield 0
-    m = 1
-    while True:
-        yield m
-        yield -m
-        m += 1
+def _spiral_rows(i, p=1):
+    """(j, k) at stream positions i for k in the order 0, 1, -1, 2, -2, ...
+    and, under each k, j = 0 .. p-1."""
+    m = (i // p + 1) // 2
+    return i % p, np.where(i // p % 2 == 1, m, -m)
 
 
-def _spiral_pairs() -> Iterator[tuple[int, int]]:
-    """Deterministic enumeration of Z^2 by square rings around the origin."""
-    yield (0, 0)
-    m = 1
-    while True:
-        ring = [(n, k) for n in range(-m, m + 1) for k in range(-m, m + 1)
-                if max(abs(n), abs(k)) == m]
-        yield from sorted(ring)
-        m += 1
+def _square_rings(i):
+    """(n, k) at stream positions i for Z^2 by square rings max(|n|, |k|) = m
+    in lexicographic order: ring m >= 1 starts at position (2m - 1)^2 with
+    the column n = -m, then k = -m, m for |n| < m, then the column n = m."""
+    m = ((1 + np.sqrt(i)) // 2).astype(np.int64)
+    t = np.maximum(i - (2 * m - 1) ** 2, 0)       # offset in the ring
+    side, last = 2 * m + 1, 6 * m - 1   # offsets of the middle, column n = m
+    mid = t - side
+    n = np.where(t < side, -m, np.where(t < last, 1 - m + mid // 2, m))
+    k = np.where(t < side, t - m, np.where(t < last, np.where(
+        mid % 2 == 0, -m, m), t - last - m))
+    return n, k
 
 
 @dataclass(frozen=True)
@@ -117,64 +120,74 @@ class FiberSet:
         return len(self.values)
 
 
-class _Dedup:
-    """Approximate set of (log_abs, angle) pairs with ~1e-12 resolution."""
+def _enumerate_fiber(pairs_at, value_at, N: int):
+    """Arrays (log_abs, angle, angle mod 2 pi) of the first N distinct values
+    of an index stream, keyed at _DEDUP_TOL in (log_abs, angle mod 2 pi).
 
-    def __init__(self):
-        self._seen = set()
-
-    def add(self, log_abs: float, angle: float) -> bool:
-        a = angle % TWO_PI
-        if a > TWO_PI - _DEDUP_TOL:
-            a = 0.0
-        key = (round(log_abs / _DEDUP_TOL), round(a / _DEDUP_TOL))
-        if key in self._seen:
-            return False
-        self._seen.add(key)
-        return True
-
-
-def _guarded_value(log_abs: float, angle: float) -> complex:
-    if log_abs > _EXP_CLIP:
-        return complex(math.inf, 0.0)
-    if log_abs < -_EXP_CLIP:
-        return 0j
-    return math.exp(log_abs) * complex(math.cos(angle), math.sin(angle))
-
-
-def _enumerate_fiber(pairs, value_at, N: int):
-    """Collect up to N distinct (log_abs, angle) pairs over an index stream.
-
-    pairs yields (n, k) ordered by rings of max(|n|, |k|); enumeration stops
-    early when two consecutive rings contribute nothing new (the
-    finite-fiber case).
+    pairs_at maps stream positions to (n, k) arrays, value_at maps those to
+    (log_abs, angle).  A ring is a maximal run of equal max(|n|, |k|) in
+    stream order; enumeration stops once two consecutive rings add nothing
+    (a finite fiber).  Positions go in blocks that grow sixteenfold from
+    _FIRST_BLOCK up to that many more than values are missing; each block is
+    cut back to whole rings (doubled if it holds none) and evaluated at once.
     """
-    dedup = _Dedup()
-    log_abs: list[float] = []
-    args: list[float] = []
-    values: list[complex] = []
-    stale = 0
-    last_ring = 0
-    added = False
-    for n, k in pairs:
-        ring = max(abs(n), abs(k))
-        if ring != last_ring:
-            if len(values) >= N:
-                break
-            stale = 0 if added else stale + 1
-            if stale >= 2:
-                break
-            added = False
-            last_ring = ring
-        la_val, ang = value_at(n, k)
-        if dedup.add(la_val, ang):
-            added = True
-            log_abs.append(la_val)
-            args.append(ang % TWO_PI)
-            values.append(_guarded_value(la_val, ang))
-            if len(values) >= N:
-                break
-    return values, log_abs, args
+    # keys and values kept; whether the last ring added none
+    seen, kept, stale = np.empty((2, 0)), [], False
+    start, size = 0, _FIRST_BLOCK
+    while True:
+        n, k = pairs_at(np.arange(start, start + size))
+        rings = np.maximum(np.abs(n), np.abs(k))
+        bounds = np.flatnonzero(np.diff(rings)) + 1   # ring starts after 0
+        if not bounds.size:
+            size *= 2
+            continue
+        n, k = n[:bounds[-1]], k[:bounds[-1]]
+        with np.errstate(over="ignore", invalid="ignore"):  # checked below
+            log_abs, ang = value_at(n, k)
+            args = ang % TWO_PI
+            a = np.where(args > TWO_PI - _DEDUP_TOL, 0.0, args)
+            keys = np.round(np.stack((log_abs, a)) / _DEDUP_TOL)
+        bad = np.flatnonzero(~np.isfinite(keys).all(axis=0))
+        # first occurrences: rank each key row, then one code per column
+        both = np.concatenate((seen, keys), axis=1)
+        code = (np.unique(both[0], return_inverse=True)[1] * both.shape[1]
+                + np.unique(both[1], return_inverse=True)[1])
+        first = np.sort(np.unique(code, return_index=True)[1])
+        new = first[first >= seen.shape[1]] - seen.shape[1]
+        # fresh[j]: ring j of the block, ending at bounds[j], added a value
+        fresh = np.diff(np.searchsorted(new, np.append(0, bounds))) > 0
+        dead = np.flatnonzero(~fresh & ~np.append(not stale, fresh[:-1]))
+        stop = bounds[dead[0]] if dead.size else bounds[-1]
+        take = new[new < stop][:N - seen.shape[1]]
+        if take.size == N - seen.shape[1]:
+            stop = take[-1] + 1
+        if bad.size and bad[0] < stop:
+            raise EvaluationError(
+                f"fiber log-modulus or angle at (n, k) = ({n[bad[0]]}, "
+                f"{k[bad[0]]}) is out of floating-point range")
+        kept.append((log_abs[take], ang[take], args[take]))
+        seen = np.concatenate((seen, keys[:, take]), axis=1)
+        if seen.shape[1] == N or dead.size:
+            return [np.concatenate(col) for col in zip(*kept)]
+        stale = not fresh[-1]
+        start += bounds[-1]
+        size = min(16 * size, N - seen.shape[1] + _FIRST_BLOCK)
+
+
+def _polar(log_abs, ang):
+    """Values exp(log_abs) (cos ang + i sin ang), one math.exp per distinct
+    log-modulus, and the least and greatest modulus; a value beyond the
+    clip is inf or 0."""
+    uniq, where = np.unique(log_abs, return_inverse=True)
+    moduli = [math.inf if x > _EXP_CLIP else 0.0 if x < -_EXP_CLIP
+              else math.exp(x) for x in uniq.tolist()]
+    unit = np.empty(ang.shape, complex)
+    unit.real, unit.imag = np.cos(ang), np.sin(ang)
+    with np.errstate(invalid="ignore"):       # inf * 0, replaced below
+        values = np.array(moduli)[where] * unit
+    values[log_abs > _EXP_CLIP] = complex(math.inf, 0.0)
+    values[log_abs < -_EXP_CLIP] = 0j
+    return values, moduli[0], moduli[-1]
 
 
 def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
@@ -189,7 +202,8 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
         w(n, k) = exp((A + Bi)(log|a^k z'| + i(theta_k + 2 pi n))) / b^k.
 
     Enumeration runs over (n, k) in a square spiral and stops once N distinct
-    values are found or two consecutive rings add nothing new.
+    values are found or two consecutive rings add nothing new.  A
+    log-modulus or angle without a finite dedup key raises EvaluationError.
     """
     if z_prime == 0:
         raise InvalidInputError("fiber over z = 0 is not in the chart")
@@ -199,40 +213,32 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
     params = inv.params
 
     if is_unit_proportional(X, params):
-        if inv.p is not None:
-            r_exp = inv.q / inv.p
-        else:
-            r_exp = inv.rho
+        r_exp = inv.rho if inv.p is None else inv.q / inv.p
         tau_eff = (r_exp * params.arg_a - params.arg_b) / TWO_PI
         base_log = r_exp * math.log(abs(z_prime))
         base_arg = r_exp * _arg01(z_prime)
-
-        def value_at_phase(phase):
-            return base_log, base_arg + TWO_PI * phase
 
         # The phase set {n r + k tau} mod 1 collapses along whichever index
         # is redundant; enumerating the raw (n, k) grid would spend O(N^2)
         # steps on duplicates, so pick the enumeration to match.
         if abs(tau_eff) < 1e-15:
-            def value_at(n, _k):
-                return value_at_phase(n * r_exp)
+            pairs_at = _spiral_rows          # (0, n): n alone sets the phase
 
-            values, log_abs, args = _enumerate_fiber(
-                ((n, 0) for n in _spiral_indices()), value_at, N)
+            def phase(_zero, n):
+                return n * r_exp
         elif inv.p is not None:
-            pp = inv.p
+            pairs_at = functools.partial(_spiral_rows, p=inv.p)
 
-            def value_at(j, k):
-                return value_at_phase(j / pp * inv.q + k * tau_eff)
-
-            pairs = ((j, k) for k in _spiral_indices() for j in range(pp))
-            values, log_abs, args = _enumerate_fiber(pairs, value_at, N)
+            def phase(j, k):
+                return j / inv.p * inv.q + k * tau_eff
         else:
-            def value_at(n, k):
-                return value_at_phase(n * r_exp + k * tau_eff)
+            pairs_at = _square_rings
 
-            values, log_abs, args = _enumerate_fiber(_spiral_pairs(),
-                                                     value_at, N)
+            def phase(n, k):
+                return n * r_exp + k * tau_eff
+
+        def value_at(n, k):
+            return np.full(n.shape, base_log), base_arg + TWO_PI * phase(n, k)
     else:
         if X.alpha == 0:
             raise EvaluationError(
@@ -251,20 +257,15 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
             return (A * L_k - B * phi - k * lb,
                     B * L_k + A * phi - k * abg)
 
-        if B == 0.0 and float(A).is_integer():
-            # w = z^A is single-valued: every branch index n collapses, so
-            # enumerate deck steps only
-            pairs = ((0, k) for k in _spiral_indices())
-        else:
-            pairs = _spiral_pairs()
-        values, log_abs, args = _enumerate_fiber(pairs, value_at, N)
+        # for B = 0 and integer A, w = z^A is single-valued: every branch
+        # index n collapses, so enumerate deck steps only
+        pairs_at = (_spiral_rows if B == 0.0 and float(A).is_integer()
+                    else _square_rings)
 
-    if not values:
-        raise EvaluationError("fiber enumeration produced no values")
-    lo, hi = min(log_abs), max(log_abs)
-    return FiberSet(values=values, log_abs=log_abs, args=args,
-                    min_abs=0.0 if lo < -_EXP_CLIP else math.exp(lo),
-                    max_abs=math.inf if hi > _EXP_CLIP else math.exp(hi))
+    log_abs, ang, args = _enumerate_fiber(pairs_at, value_at, N)
+    values, min_abs, max_abs = _polar(log_abs, ang)
+    return FiberSet(values=values.tolist(), log_abs=log_abs.tolist(),
+                    args=args.tolist(), min_abs=min_abs, max_abs=max_abs)
 
 
 @dataclass(frozen=True)
@@ -312,8 +313,8 @@ def classify_orbit_closure(X: VectorField, params: HopfParams,
                             diagnostics={"reduced_z_decay": decay,
                                          "final_reduced_z": decay[-1]})
 
+    fib = fiber_set(X, evidence.z_prime, inv, evidence.n_fiber)
     if is_unit_proportional(X, params):
-        fib = fiber_set(X, evidence.z_prime, inv, evidence.n_fiber)
         if inv.case_tag == "CaseB2":
             return ClosureClass(tag="CompactTorus", sheets=inv.nu,
                                 diagnostics={"fiber_cardinality": len(fib),
@@ -329,8 +330,6 @@ def classify_orbit_closure(X: VectorField, params: HopfParams,
             tag="LeviFlatHypersurface",
             diagnostics={"fiber_star_discrepancy": star_discrepancy(fib.args),
                          "orbit_modulus_residual": resid})
-
-    fib = fiber_set(X, evidence.z_prime, inv, evidence.n_fiber)
     return ClosureClass(tag="ContainsBothTori",
                         diagnostics={"fiber_min_abs": fib.min_abs,
                                      "fiber_max_abs": fib.max_abs,

@@ -23,6 +23,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional
 
 from .errors import (CaseError, ConsistencyError, InvalidInputError,
@@ -64,11 +65,11 @@ class HopfParams:
                 f"need |b| >= |a|, got |b| = {abs(self.b)}, |a| = {abs(self.a)}"
             )
 
-    @property
+    @cached_property    # read by every scalar reduce_point and u_value
     def log_abs_a(self) -> float:
         return math.log(abs(self.a))
 
-    @property
+    @cached_property
     def log_abs_b(self) -> float:
         return math.log(abs(self.b))
 

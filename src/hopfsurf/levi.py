@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import cmath
 import math
-import warnings
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
 
@@ -237,6 +236,7 @@ class DiamondResult:
     z_star: Optional[complex] = None
     p0_value: Optional[float] = None
     trace: tuple = ()
+    violation: Optional[complex] = None   # see diamond_search
 
 
 def _max_on_circle(fn: Callable, r: float):
@@ -333,19 +333,17 @@ def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
 
     The candidate direction comes from the leading homogeneous part of p0
     (see _ladder); the radius then shrinks (r -> r/2, budget 60) until p0
-    is positive at the candidate or the budget runs out.
+    is positive at the candidate or the budget runs out.  violation is a
+    point of |z| = 0.3 r1 where levi2_residual < -1e-9, or None.
     """
     if r1 <= 0:
         raise InvalidInputError("r1 must be positive")
     p0 = model.coeff(0)
     trace = []
 
-    # curvature sanity: warn if the graph inequality fails nearby
     ring = 0.3 * r1 * _UNIT[::_CIRCLE_GRID // 8]
     bad = ring[levi2_residual(model, ring) < -1e-9]
-    if bad.size:
-        warnings.warn("boundary model violates the graph pseudoconvexity "
-                      f"inequality near z = {bad[0]:.3g}", stacklevel=2)
+    violation = complex(bad[0]) if bad.size else None
 
     case, unit = _ladder(p0, trace)
     r = r1 / 2.0
@@ -357,10 +355,12 @@ def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
         val = p0(z)
         if val > 0.0:
             return DiamondResult(found=True, case=case, z_star=z,
-                                 p0_value=val, trace=tuple(trace))
+                                 p0_value=val, trace=tuple(trace),
+                                 violation=violation)
         r /= 2.0
     trace.append(f"{case}: shrink budget exhausted")
-    return DiamondResult(found=False, case=case, trace=tuple(trace))
+    return DiamondResult(found=False, case=case, trace=tuple(trace),
+                         violation=violation)
 
 
 @dataclass(frozen=True)

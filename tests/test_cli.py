@@ -86,6 +86,16 @@ class TestFiberAndClassify:
         assert code == 0
         assert doc["count"] == 2
 
+    def test_fiber_huge_field_ratio_exit_2(self, capsys):
+        code = main(["fiber", "--a-re", "2", "--b-re", "3", "--alpha-re",
+                     "1e-300", "--beta-re", "1", "--z-prime-re", "1.5",
+                     "--n", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("error: fiber log-modulus or angle at (n, k) "
+                                "= (0, 0) is out of floating-point range\n")
+
     def test_classify_orbit(self, capsys):
         code, doc = run_cli(capsys, "classify", "--a-re", "2", "--b-re", "3",
                             "--what", "orbit", "--unit-field")
@@ -121,6 +131,14 @@ class TestBoundaryCommands:
         assert code == 0
         assert doc["found"] is True
         assert doc["p0_value"] > 0
+        assert doc["violation"] is None
+
+    def test_diamond_violation_in_json_not_stderr(self, capsys):
+        code = main(["diamond", "--p0", "[[2,0,-1],[0,2,-1]]"])
+        captured = capsys.readouterr()
+        assert code == 0
+        assert json.loads(captured.out)["violation"] == [0.3, 0.0]
+        assert captured.err == ""
 
     def test_sweep_cover(self, capsys):
         code, doc = run_cli(capsys, "sweep-cover", "--p0",

@@ -47,6 +47,14 @@ class TestHopfParams:
             assert 0.0 <= p.arg_a < 2 * math.pi
             assert 0.0 <= p.arg_b < 2 * math.pi
 
+    def test_log_moduli_are_cached_outside_eq_and_hash(self):
+        p = HopfParams(2 + 0j, 3 + 0j)
+        assert (p.log_abs_a, p.log_abs_b) == (math.log(2.0), math.log(3.0))
+        assert vars(p)["log_abs_a"] is p.log_abs_a
+        fresh = HopfParams(2 + 0j, 3 + 0j)
+        assert p == fresh and hash(p) == hash(fresh)
+        assert repr(p) == repr(fresh)
+
 
 class TestDetectRational:
     def test_exact_half(self):

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,7 +207,6 @@ _LADDER = [
 
 
 class TestDiamondLadder:
-    @pytest.mark.filterwarnings("ignore:boundary model violates")
     @pytest.mark.parametrize("coeffs, case, trace", _LADDER)
     def test_case_and_trace(self, coeffs, case, trace):
         model = BoundaryModel(p=(RealPoly2(coeffs),))
@@ -216,6 +216,20 @@ class TestDiamondLadder:
         if res.found:
             assert 0 < abs(res.z_star) < 1.0
             assert res.p0_value == model.p[0](res.z_star) > 0
+
+
+class TestDiamondViolation:
+    def test_violation_is_reported_without_a_warning(self):
+        model = BoundaryModel(p=(RealPoly2({(2, 0): -1.0, (0, 2): -1.0}),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = diamond_search(model, 1.0)
+        assert res.violation == 0.3 + 0j
+        assert levi2_residual(model, np.array([res.violation]))[0] < -1e-9
+
+    def test_no_violation(self):
+        model = BoundaryModel(p=(RealPoly2({(2, 0): 1.0, (0, 2): 1.0}),))
+        assert diamond_search(model, 1.0).violation is None
 
 
 def _counting_model(coeffs):
@@ -242,7 +256,6 @@ class TestCircleSearchCalls:
         assert len(calls) <= 70
         assert calls.count((4096,)) == 1
 
-    @pytest.mark.filterwarnings("ignore:boundary model violates")
     def test_generic_fallback_budget(self):
         model, calls = _counting_model({(2, 0): -1.0, (0, 2): -1.0})
         res = diamond_search(model, 1.0)

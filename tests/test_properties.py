@@ -1,5 +1,6 @@
 """Property tests for fundamental-shell reduction over the whole float range,
-for array evaluation of RealPoly2 and for the walk-on-spheres distances.
+for array evaluation of RealPoly2, for the walk-on-spheres distances and
+for the array fiber enumeration against its scalar reference.
 
 Points are drawn with log-moduli from the smallest subnormal up to DBL_MAX,
 either as (log-modulus, phase) pairs or as raw float components, which also
@@ -17,13 +18,15 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from fiber_reference import fiber_bits, reference_fiber_set
 from scipy.optimize import minimize_scalar
 
 from hopfsurf.cli import main
 from hopfsurf.domains import (LevelBand, SubLevel, SuperLevel,
                               translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
-from hopfsurf.invariants import HopfParams
+from hopfsurf.flows import VectorField, fiber_set, unit_field
+from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.poly import MAX_DEGREE, RealPoly2
 from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
                                u_value)
@@ -312,3 +315,37 @@ def test_modulus_distance_is_a_certified_lower_bound(td, pts, seed):
     if math.isfinite(td.log_k1):
         axes.append([1.0, 0.0, 0.0, 0.0])   # eta = 0
     assert not td.wos_domain().distance(np.array(axes)).any()
+
+
+@st.composite
+def fiber_cases(draw):
+    """(field, invariants, z') reaching every enumeration branch of
+    fiber_set: rational rho with twist 0, pi or generic, irrational rho,
+    and non-proportional fields (deck-only for an integer real ratio)."""
+    if draw(st.booleans()):
+        r = draw(st.floats(1.1, 8.0))
+        rho = draw(st.sampled_from([1.0, 1.5, 2.0, 4.0 / 3.0, 2.5]))
+        params = HopfParams(cmath.rect(r, draw(phases)),
+                            cmath.rect(r**rho, draw(phases)))
+    else:
+        params = draw(multipliers(1.1, 8.0))
+    inv = derive_invariants(params, Numeric())
+    alpha = cmath.rect(draw(st.floats(0.1, 2.0)), draw(phases))
+    # B != 0 keeps the scalar reference fast: with a rational real ratio
+    # most of the square-ring stream repeats earlier values
+    ratio = draw(st.one_of(
+        st.builds(complex, st.integers(-3, 3)),
+        st.builds(complex, st.floats(-3.0, 3.0),
+                  st.one_of(st.floats(-3.0, -0.05), st.floats(0.05, 3.0)))))
+    X = draw(st.sampled_from([unit_field(params),
+                              VectorField(alpha, alpha * ratio)]))
+    z_prime = cmath.rect(math.exp(draw(st.floats(-3.0, 3.0))), draw(phases))
+    return X, inv, z_prime
+
+
+@PROPERTY
+@given(case=fiber_cases(), N=st.integers(1, 2048))
+def test_fiber_set_matches_scalar_reference(case, N):
+    X, inv, z_prime = case
+    assert (fiber_bits(fiber_set(X, z_prime, inv, N))
+            == fiber_bits(reference_fiber_set(X, z_prime, inv, N)))
