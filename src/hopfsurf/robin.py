@@ -23,18 +23,19 @@ lambda = -1/(4 cos^2 theta).
 
 A positive zeroth-order coefficient c (operator Laplacian minus c) is
 supported through per-step survival factors; the matching functional is
-certified against an ODE oracle for centered balls only.  Off the centered
-ball it is qualitative, the one qualitative estimate left in this module.
+certified for centered balls only, against the closed form
+-x / (2 I_1(x) R^2) with x = sqrt(c) R.  Off the centered ball it is
+qualitative, the one qualitative estimate left in this module.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.special import i1 as _bessel_i1
 
 from .errors import EvaluationError, InvalidInputError, _require_nonneg
@@ -58,9 +59,13 @@ class Ball:
     radius: float
 
     def __post_init__(self):
-        if self.radius <= 0:
+        if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidInputError("radius must be positive")
-        object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        center = np.asarray(self.center, dtype=float)
+        if center.shape != (4,) or not np.isfinite(center).all():
+            raise InvalidInputError(f"center must be a finite 4-vector, "
+                                    f"got {self.center}")
+        object.__setattr__(self, "center", tuple(center.tolist()))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
         return self.radius - np.linalg.norm(x - np.asarray(self.center), axis=-1)
@@ -81,6 +86,11 @@ class HalfSpace:
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
+        if n.shape != (4,) or not np.isfinite(n).all():
+            raise InvalidInputError(f"normal must be a finite 4-vector, "
+                                    f"got {self.normal}")
+        if not math.isfinite(self.offset):
+            raise InvalidInputError(f"offset must be finite, got {self.offset}")
         nn = np.linalg.norm(n)
         if nn == 0:
             raise InvalidInputError("normal must be nonzero")
@@ -129,6 +139,11 @@ def solvable_from_translate(translated):
 # estimator
 
 
+def _is_int(x) -> bool:
+    """An integer (Python or numpy), not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class WosConfig:
     eps_shell: float = 1e-4
@@ -137,6 +152,10 @@ class WosConfig:
     block_size: int = 4096
 
     def __post_init__(self):
+        if not (_is_int(self.block_size) and _is_int(self.max_steps)):
+            raise InvalidInputError("block_size and max_steps must be "
+                                    f"integers, got {self.block_size}, "
+                                    f"{self.max_steps}")
         if self.block_size < 1 or self.max_steps < 1:
             raise InvalidInputError("block_size and max_steps must be >= 1, "
                                     f"got {self.block_size}, {self.max_steps}")
@@ -183,38 +202,108 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(n)
 
 
-def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
-    """Run nb walks from the pole, stepping and drawing for live walks only.
+# blocks are stepped together in waves of at most this many walks (at least
+# one block): long enough to amortize numpy's per-call cost over the tail of
+# a wave, short enough to keep the working set small
+_WAVE_WALKS = 32768
 
-    idx maps each live row to its walk number.  Returns (contrib, truncated,
-    escaped).
+
+def _escape_reach(pole, r_max, max_steps):
+    """Path length below which a walk cannot have reached r_max.
+
+    A walk is at most its path length `travel` (the sum of its step radii)
+    from the pole.  In floating point, each step rounds the coordinates of
+    pos by at most eps (|pole| + r_max) while the walk is within r_max of the
+    pole; the unit direction and the sums behind travel and the norm add a
+    few ulps each.  So while max_steps eps (|pole| + r_max) < r_max / 4, a
+    row with travel < r_max / 2 has a computed |pos - pole| below r_max and
+    needs no escape test.  Past that bound (a huge |pole| or max_steps)
+    every row is tested.
     """
-    pos = np.tile(pole, (nb, 1))
-    weight = np.ones(nb)
-    idx = np.arange(nb)
-    contrib = np.zeros(nb)
+    drift = max_steps * np.finfo(float).eps * (np.linalg.norm(pole) + r_max)
+    return r_max / 2.0 if drift < r_max / 4.0 else 0.0
+
+
+def _rowwise(f, x, lone):
+    """f(x), with each row listed in `lone` evaluated in a call of its own.
+
+    A block run alone calls the domain on its own rows.  numpy computes a
+    one-row matmul (HalfSpace) by dot, which rounds differently from the
+    gemv of a larger call, so a row that is the only one of its block in a
+    call gets a one-row call here too.
+    """
+    if not len(lone) or len(x) == 1:
+        return f(x)
+    rest = np.ones(len(x), dtype=bool)
+    rest[lone] = False
+    rest = np.flatnonzero(rest)
+    vals = np.concatenate([f(x[i:i + 1]) for i in lone.tolist()]
+                          + ([f(x.take(rest, axis=0))] if len(rest) else []))
+    out = np.empty_like(vals)
+    out[np.concatenate([lone, rest])] = vals
+    return out
+
+
+def _run_wave(domain, pole, sizes, rngs, c_weight, eps, r_max, max_steps):
+    """Run consecutive blocks of walks from the pole in lockstep.
+
+    Block j has sizes[j] walks and draws from rngs[j]; each step draws its
+    live walks' directions, in walk order, into its slice of one buffer, so
+    every block sees exactly the stream it would see alone.  Only live walks
+    are stepped; idx maps each live row to its walk number, and block j
+    holds rows cuts[j]:cuts[j + 1].  Returns (contrib, truncated, escaped).
+    """
+    n = sum(sizes)
+    starts = np.cumsum([0, *sizes[:-1]])
+    cuts = np.append(starts, n)
+    pos = np.tile(pole, (n, 1))
+    weight = np.ones(n)
+    travel = np.zeros(n)
+    idx = np.arange(n)
+    contrib = np.zeros(n)
+    dirs = np.empty((n, 4))
+    reach = _escape_reach(pole, r_max, max_steps)
     escaped = 0
     for _ in range(max_steps):
-        d = domain.distance(pos)
-        hit = d <= eps
-        if hit.any():
-            r = _norm(domain.project(pos.compress(hit, axis=0)) - pole)
+        d = _rowwise(domain.distance, pos, cuts[:-1][np.diff(cuts) == 1])
+        end = d <= eps
+        hits = np.flatnonzero(end)
+        if len(hits):
+            blk = np.searchsorted(cuts, hits, side="right") - 1
+            lone = np.flatnonzero(np.bincount(blk)[blk] == 1)
+            r = _norm(_rowwise(domain.project, pos.take(hits, axis=0), lone)
+                      - pole)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
-            contrib[idx.compress(hit)] = weight.compress(hit) * kernel(r)
-        far = ~hit & (_norm(pos - pole) >= r_max)
-        escaped += int(far.sum())
-        keep = ~(hit | far)
-        pos, weight, d, idx = (a.compress(keep, axis=0)
-                               for a in (pos, weight, d, idx))
-        if not len(idx):
-            return contrib, 0, escaped
-        dirs = rng.standard_normal((len(idx), 4))
-        dirs /= _norm(dirs)[:, None]
+            contrib[idx.take(hits)] = weight.take(hits) * kernel(r)
+        far = np.flatnonzero(travel >= reach)
+        if len(far):
+            far = far.compress(~end.take(far))
+            far = far.compress(_norm(pos.take(far, axis=0) - pole) >= r_max)
+            escaped += len(far)
+            end[far] = True
+        if len(hits) or len(far):
+            keep = np.flatnonzero(~end)
+            pos, weight, travel, d, idx = (a.take(keep, axis=0) for a in
+                                           (pos, weight, travel, d, idx))
+            if not len(idx):
+                return contrib, 0, escaped
+        step = dirs[:len(idx)]
+        cuts = np.append(np.searchsorted(idx, starts), len(idx))
+        for j in np.flatnonzero(np.diff(cuts)).tolist():
+            rngs[j].standard_normal(out=step[cuts[j]:cuts[j + 1]])
+        step /= _norm(step)[:, None]
         if c_weight > 0.0:
             weight *= _survival_factor(d, c_weight)
-        dirs *= d[:, None]
-        pos += dirs
+        step *= d[:, None]
+        pos += step
+        travel += d
     return contrib, len(idx), escaped
+
+
+def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
+    """Run nb walks from the pole: a wave of one block."""
+    return _run_wave(domain, pole, [nb], [rng], c_weight, eps, r_max,
+                     max_steps)
 
 
 def robin_constant(domain, pole, n_walks: int, seed: int,
@@ -226,9 +315,14 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     into fixed-size blocks, block b drawing from its own substream
     default_rng([seed, b]), and blocks are merged in index order -- so the
     estimate does not depend on the order in which blocks are run.
+    Consecutive blocks are stepped in lockstep waves of at most _WAVE_WALKS
+    walks, which changes no draw and no output bit.
     """
-    if n_walks < 1:
-        raise InvalidInputError("n_walks must be >= 1")
+    if not _is_int(n_walks) or n_walks < 1:
+        raise InvalidInputError(f"n_walks must be an integer >= 1, "
+                                f"got {n_walks}")
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed}")
     _require_nonneg(c_weight, "c_weight")
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,) or not np.isfinite(pole).all():
@@ -241,16 +335,21 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
                               f"termination shell (distance {d0})")
     r_max = config.r_max_factor * d0
 
-    blocks = [_run_block(domain, pole, min(config.block_size, n_walks - lo),
-                         np.random.default_rng([seed, b]), c_weight,
-                         config.eps_shell, r_max, config.max_steps)
-              for b, lo in enumerate(range(0, n_walks, config.block_size))]
-    contrib = np.concatenate([blk[0] for blk in blocks])
+    bs = config.block_size
+    n_blocks = -(-n_walks // bs)
+    n_waves = -(-n_blocks // max(1, _WAVE_WALKS // bs))
+    waves = [_run_wave(domain, pole,
+                       [min(bs, n_walks - b * bs) for b in wave],
+                       [np.random.default_rng([seed, b]) for b in wave],
+                       c_weight, config.eps_shell, r_max, config.max_steps)
+             for wave in (w.tolist() for w in
+                          np.array_split(np.arange(n_blocks), n_waves))]
+    contrib = np.concatenate([w[0] for w in waves])
     lam = -float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
     return RobinEstimate(lambda_hat=lam, stderr=se, n_walks=n_walks,
-                         truncated_walks=sum(blk[1] for blk in blocks),
-                         escaped_walks=sum(blk[2] for blk in blocks),
+                         truncated_walks=sum(w[1] for w in waves),
+                         escaped_walks=sum(w[2] for w in waves),
                          seed=seed, c_weight=c_weight, r_max=r_max)
 
 
@@ -261,39 +360,32 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
 def ball_oracle(R: float, c: float = 0.0, pole_at_center: bool = True) -> float:
     """Robin-type constant of the centered ball, independent of the sampler.
 
-    For c = 0 this is -1/R^2 exactly.  For c > 0 the radial profile
-    U'' + (3/rho) U' = c U, U(0) = 1, U'(0) = 0, is integrated by
-    Runge-Kutta (tolerance 1e-8) and the weighted functional from the
-    center pole equals -1/(U(R) R^2).
+    The radial profile U'' + (3/rho) U' = c U, U(0) = 1, U'(0) = 0, is
+    U(rho) = 2 I_1(x) / x with x = sqrt(c) rho, and the weighted functional
+    from the center pole is -1/(U(R) R^2), that is -_survival_factor(R, c) /
+    R^2; for c = 0 it is -1/R^2 (-inf or -0.0 where R^2 leaves the float
+    range).
     """
     if not pole_at_center:
         raise InvalidInputError("oracle only covers the centered pole")
-    if c == 0.0:
-        return -1.0 / R**2
-    rho0 = 1e-8
-
-    def rhs(rho, y):
-        u, up = y
-        return [up, c * u - 3.0 * up / rho]
-
-    y0 = [1.0 + c * rho0**2 / 8.0, c * rho0 / 4.0]
-    sol = solve_ivp(rhs, (rho0, R), y0, rtol=1e-8, atol=1e-12,
-                    method="RK45")
-    if not sol.success:
-        raise EvaluationError(f"radial integration failed: {sol.message}")
-    U_R = sol.y[0, -1]
-    return -1.0 / (U_R * R**2)
+    if not (math.isfinite(R) and R > 0):
+        raise InvalidInputError(f"R must be finite and > 0, got {R}")
+    _require_nonneg(c, "c")
+    with np.errstate(over="ignore", divide="ignore"):
+        return float(-_survival_factor(R, c) / np.square(R))
 
 
 def half_space_oracle(d: float) -> float:
     """Method of images: pole at distance d from a wall gives -1/(4 d^2)."""
-    if d <= 0:
+    if not (math.isfinite(d) and d > 0):
         raise InvalidInputError("distance must be positive")
     return -1.0 / (4.0 * d * d)
 
 
 def product_half_plane_oracle(theta: float) -> float:
     """Wall at distance cos(theta) from the identity: -1/(4 cos^2 theta)."""
+    if not math.isfinite(theta):
+        raise InvalidInputError(f"theta must be finite, got {theta}")
     ct = math.cos(theta)
     if ct <= 0:
         raise InvalidInputError("identity is not inside the half-plane")

@@ -4,13 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
 from hopfsurf.domains import (LevelBand, Nemirovskii, SubLevel, SuperLevel,
                               distance_to_identity, translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
+from hopfsurf import robin
 from hopfsurf.robin import (Ball, ExperimentBudget, GenericSolvable,
-                            HalfSpace, WosConfig, _run_block,
+                            HalfSpace, WosConfig, _escape_reach, _run_block,
                             _survival_factor, ball_oracle,
                             boundary_behavior_experiment,
                             half_space_from_theta, half_space_oracle,
@@ -38,6 +40,41 @@ class TestOracles:
 
     def test_kernel_decay(self):
         assert kernel(2.0) == pytest.approx(0.25)
+
+    @pytest.mark.parametrize("R, c", [(0.5, 0.5), (1.0, 0.5), (1.0, 1.0),
+                                      (2.0, 0.25), (1.5, 3.0), (3.0, 2.0)])
+    def test_screened_ball_matches_radial_ode(self, R, c):
+        # U'' + (3/rho) U' = c U, U(0) = 1, U'(0) = 0, integrated by RK45
+        # from a series start; the oracle is -1/(U(R) R^2)
+        rho0 = 1e-8
+        sol = solve_ivp(lambda rho, y: [y[1], c * y[0] - 3.0 * y[1] / rho],
+                        (rho0, R), [1.0 + c * rho0**2 / 8.0, c * rho0 / 4.0],
+                        rtol=1e-8, atol=1e-12, method="RK45")
+        assert sol.success
+        ode = -1.0 / (sol.y[0, -1] * R**2)
+        assert ball_oracle(R, c) == pytest.approx(ode, rel=1e-7)
+
+    def test_ball_oracle_is_total_at_extreme_radii(self):
+        assert ball_oracle(1e200) == 0.0 and ball_oracle(1e-200) == -math.inf
+        assert ball_oracle(1e200, c=1.0) == 0.0
+
+    @pytest.mark.parametrize("R, c", [
+        (0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
+        (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)])
+    def test_ball_oracle_rejects(self, R, c):
+        with pytest.raises(InvalidInputError):
+            ball_oracle(R, c)
+
+    @pytest.mark.parametrize("d", [0.0, -1.0, math.nan, math.inf])
+    def test_half_space_oracle_rejects(self, d):
+        with pytest.raises(InvalidInputError):
+            half_space_oracle(d)
+
+    @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf,
+                                       math.pi, 2.0])
+    def test_product_half_plane_oracle_rejects(self, theta):
+        with pytest.raises(InvalidInputError):
+            product_half_plane_oracle(theta)
 
 
 class TestRobinConstant:
@@ -115,25 +152,29 @@ class CountingDomain:
         return self.inner.project(x)
 
 
-def masked_block(domain, nb, rng, eps, r_max, c=0.0):
+def masked_block(domain, nb, rng, eps, r_max, c=0.0, pole=E,
+                 max_steps=None):
     """Reference block kernel: full-size arrays and an alive mask.
 
     Draws the same stream as _run_block (directions for the live walks, in
-    walk order) and counts each walk's distance evaluations.
+    walk order), tests every live walk for escape and counts each walk's
+    distance evaluations.  Returns (contrib, steps, truncated, escaped).
     """
-    pos = np.tile(E, (nb, 1))
+    pos = np.tile(pole, (nb, 1))
     weight = np.ones(nb)
     contrib = np.zeros(nb)
     steps = np.zeros(nb, dtype=int)
     alive = np.ones(nb, dtype=bool)
-    while alive.any():
+    escaped = 0
+    while alive.any() and (max_steps is None or steps.max() < max_steps):
         a = np.flatnonzero(alive)
         d = domain.distance(pos[a])
         steps[a] += 1
         hit = d <= eps
-        r = np.linalg.norm(domain.project(pos[a[hit]]) - E, axis=-1)
+        r = np.linalg.norm(domain.project(pos[a[hit]]) - pole, axis=-1)
         contrib[a[hit]] = weight[a[hit]] * kernel(np.maximum(r, eps))
-        far = ~hit & (np.linalg.norm(pos[a] - E, axis=-1) >= r_max)
+        far = ~hit & (np.linalg.norm(pos[a] - pole, axis=-1) >= r_max)
+        escaped += int(far.sum())
         alive[a[hit | far]] = False
         live = ~(hit | far)
         dirs = rng.standard_normal((int(live.sum()), 4))
@@ -141,7 +182,20 @@ def masked_block(domain, nb, rng, eps, r_max, c=0.0):
         if c > 0.0:
             weight[a[live]] *= _survival_factor(d[live], c)
         pos[a[live]] += d[live, None] * dirs
-    return contrib, steps
+    return contrib, steps, int(alive.sum()), escaped
+
+
+def masked_estimate(domain, pole, n, seed, c=0.0, cfg=WosConfig()):
+    """robin_constant rebuilt from masked_block, one block after another."""
+    r_max = cfg.r_max_factor * float(domain.distance(pole[None])[0])
+    blocks = [masked_block(domain, min(cfg.block_size, n - lo),
+                           np.random.default_rng([seed, b]), cfg.eps_shell,
+                           r_max, c, pole, cfg.max_steps)
+              for b, lo in enumerate(range(0, n, cfg.block_size))]
+    contrib = np.concatenate([blk[0] for blk in blocks])
+    se = float(np.std(contrib, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    return (-float(np.mean(contrib)), se, sum(blk[2] for blk in blocks),
+            sum(blk[3] for blk in blocks))
 
 
 class TestLiveWalkCompaction:
@@ -157,7 +211,7 @@ class TestLiveWalkCompaction:
             contrib, truncated, _ = _run_block(
                 dom, E, nb, np.random.default_rng([seed, b]), 0.0,
                 cfg.eps_shell, r_max, cfg.max_steps)
-            ref, ref_steps = masked_block(hs, nb, np.random.default_rng(
+            ref, ref_steps, _, _ = masked_block(hs, nb, np.random.default_rng(
                 [seed, b]), cfg.eps_shell, r_max)
             assert truncated == 0
             assert np.array_equal(contrib, ref)
@@ -173,22 +227,98 @@ class TestLiveWalkCompaction:
         hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
         contrib, _, _ = _run_block(hs, E, 4096, np.random.default_rng(3),
                                    0.5, 1e-4, 1e3, 20000)
-        ref, _ = masked_block(hs, 4096, np.random.default_rng(3), 1e-4, 1e3,
-                              c=0.5)
+        ref, _, _, _ = masked_block(hs, 4096, np.random.default_rng(3), 1e-4,
+                                    1e3, c=0.5)
         assert np.array_equal(contrib, ref)
 
     def test_centered_ball_takes_one_step_per_block(self):
         dom = CountingDomain(Ball(center=tuple(E), radius=1.0))
         est = robin_constant(dom, E, 10_000, 12345)
         assert est.lambda_hat == -1.0
-        # the pole's distance, then per block one call before the single
-        # step and one that finds every walk on the sphere
-        assert dom.rows == [1, 4096, 4096, 4096, 4096, 1808, 1808]
+        # the pole's distance, then for the one wave of three blocks one
+        # call before the single step and one that finds every walk on the
+        # sphere
+        assert dom.rows == [1, 10000, 10000]
+
+
+HS = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
+OFF_BALL = Ball(center=(1.3, 0.1, 0.8, 0.0), radius=1.0)
+# two nonzero normal components: a one-row matmul rounds differently
+PLANE = half_space_from_theta(math.pi / 3)
+
+
+class TestWaveKernel:
+    """robin_constant steps its blocks in lockstep waves; every output must
+    equal the masked reference run one block after another, bit for bit."""
+
+    @staticmethod
+    def check(domain, pole, n, seed, c=0.0, cfg=WosConfig()):
+        est = robin_constant(domain, pole, n, seed, c_weight=c, config=cfg)
+        lam, se, truncated, escaped = masked_estimate(domain, pole, n, seed,
+                                                      c, cfg)
+        assert (est.lambda_hat, est.stderr) == (lam, se)
+        assert (est.truncated_walks, est.escaped_walks) == (truncated,
+                                                            escaped)
+        return est
+
+    # the reference runs one block at a time in Python: blocks of 3 walk
+    # in the ball with a wider shell to keep their walks short, and 1e5
+    # walks in blocks of 3 (33,334 blocks) are left out
+    @pytest.mark.parametrize("domain, n, cfg", [
+        (HS, 1, WosConfig()), (HS, 7, WosConfig()), (HS, 4096, WosConfig()),
+        (HS, 4097, WosConfig()), (HS, 100_000, WosConfig()),
+        (OFF_BALL, 4097, WosConfig()), (HS, 7, WosConfig(block_size=3)),
+        (HS, 200, WosConfig(block_size=3)), (PLANE, 4097, WosConfig()),
+        (PLANE, 7, WosConfig(block_size=3)),
+        (PLANE, 200, WosConfig(block_size=3)),
+        *((OFF_BALL, n, WosConfig(block_size=3, eps_shell=1e-2))
+          for n in (1, 7, 4096, 4097))])
+    def test_matches_blockwise_reference(self, domain, n, cfg):
+        self.check(domain, E, n, 11, cfg=cfg)
+
+    @pytest.mark.parametrize("n", [7, 200])
+    def test_small_waves_split_unevenly(self, monkeypatch, n):
+        # at most 3 blocks of 3 walks per wave: 200 walks make 67 blocks in
+        # 23 waves of 3 or 2 blocks, the last block holding 2 walks
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 10)
+        self.check(HS, E, n, 7, cfg=WosConfig(block_size=3))
+
+    def test_truncation(self):
+        est = self.check(HS, E, 4097, 0, cfg=WosConfig(max_steps=5))
+        assert est.truncated_walks > 0
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_escapes(self, seed):
+        est = self.check(HS, E, 4097, seed, cfg=WosConfig(r_max_factor=3.0))
+        assert est.escaped_walks > 0
+
+    def test_screened(self):
+        self.check(HS, E, 4097, 1, c=0.5)
+
+    def test_far_pole_keeps_the_bounded_escape_test(self):
+        pole = np.array([1e9, 0.0, 1.0, 0.0])
+        assert _escape_reach(pole, 3.0, 20000) == 1.5
+        est = self.check(HS, pole, 4097, 12345,
+                         cfg=WosConfig(r_max_factor=3.0))
+        assert est.escaped_walks > 0
+
+    def test_huge_pole_tests_every_row(self):
+        pole = np.array([1e15, 0.0, 1.0, 0.0])
+        assert _escape_reach(pole, 3.0, 20000) == 0.0
+        est = self.check(HS, pole, 4097, 12345,
+                         cfg=WosConfig(r_max_factor=3.0))
+        assert est.escaped_walks > 0
+
+    def test_numpy_integers_accepted(self):
+        est = robin_constant(HS, E, np.int64(100), np.int64(3))
+        assert est == robin_constant(HS, E, 100, 3)
 
 
 class TestWosInputValidation:
     @pytest.mark.parametrize("kw", [
         {"block_size": 0}, {"block_size": -3}, {"max_steps": 0},
+        {"block_size": 2.5}, {"block_size": math.nan}, {"block_size": True},
+        {"max_steps": 1.5},
         {"eps_shell": math.nan}, {"eps_shell": -1.0}, {"eps_shell": 0.0},
         {"r_max_factor": 0.0}, {"r_max_factor": math.inf},
     ])
@@ -207,6 +337,30 @@ class TestWosInputValidation:
         hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
         with pytest.raises(InvalidInputError):
             robin_constant(hs, np.array(pole), 100, 0, c_weight=c_weight)
+
+    @pytest.mark.parametrize("n_walks, seed", [
+        (2.5, 0), (100.0, 0), (0, 0), (-1, 0), (100, 1.5), (100, -1),
+        (100, math.nan)])
+    def test_counts_rejected(self, n_walks, seed):
+        with pytest.raises(InvalidInputError):
+            robin_constant(HS, E, n_walks, seed)
+
+    @pytest.mark.parametrize("kw", [
+        {"radius": math.nan}, {"radius": math.inf}, {"radius": 0.0},
+        {"radius": -1.0}, {"center": (0.0, 0.0, 0.0)},
+        {"center": (math.nan, 0.0, 0.0, 0.0)}])
+    def test_ball_rejected(self, kw):
+        with pytest.raises(InvalidInputError):
+            Ball(**{"center": (0.0, 0.0, 0.0, 0.0), "radius": 1.0, **kw})
+
+    @pytest.mark.parametrize("kw", [
+        {"normal": (0.0, 0.0, math.nan, 0.0)},
+        {"normal": (0.0, 0.0, math.inf, 0.0)}, {"normal": (0.0, 0.0, 1.0)},
+        {"normal": (0.0, 0.0, 0.0, 0.0)}, {"offset": math.nan},
+        {"offset": math.inf}])
+    def test_half_space_rejected(self, kw):
+        with pytest.raises(InvalidInputError):
+            HalfSpace(**{"normal": (0.0, 0.0, 1.0, 0.0), **kw})
 
     def test_non_finite_pole_distance_rejected(self):
         dom = GenericSolvable(lambda x: np.full(len(x), math.inf))
