@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (CaseError, EvaluationError, InvalidInputError,
                      PreconditionError, _require_samples, _require_nonneg)
@@ -367,6 +366,46 @@ _DIST_RAYS = 64
 _DIST_R_MAX = 4.0
 _DIST_TOL = 1e-10
 _DIST_SEED = 0
+# ModulusRegion: cells of the global foot-point search, samples per zoom
+_DIST_GRID = np.linspace(0.0, 1.0, 129)
+_DIST_ZOOM = np.linspace(0.0, 1.0, 65)
+
+
+def _curves_distance(ks: list[float], rho: float) -> float:
+    """Distance from (1, 1) to the nearest curve s2 = k s1^rho, k in ks,
+    s1 >= 0, or to a coordinate axis (1 away), within _DIST_TOL.
+
+    A curve's points level with (1, 1), (k^(-1/rho), 1) and (1, k), are no
+    nearer than its foot point, so that has |s1 - 1| <= m, the least of
+    their distances (below 1).  The distance f(s1) has |f'| <= |(1, k rho
+    s1^(rho-1))|, monotone in s1, so a grid cell whose endpoint values
+    less its Lipschitz slack stay above the best value found cannot hold
+    the minimum; every other cell is refined by repeated zooms around its
+    least sample.  The squared distance has at most three critical points
+    in s1 > 0 (its derivative is a sum of four powers of s1; Descartes'
+    rule of signs), so at most two local minima compete, as they do for a
+    lower end whose curve meets s2 = 1 near s1 = 2.
+    """
+    k = np.array(ks)[:, None]
+    m = np.minimum(np.minimum(abs(k ** (-1.0 / rho) - 1.0), abs(k - 1.0)),
+                   1.0)
+    s = (1.0 - m) + 2.0 * m * _DIST_GRID
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        v = np.hypot(s - 1.0, k * s**rho - 1.0)
+        slope = np.hypot(1.0, k * rho * s ** (rho - 1.0))
+        slack = np.maximum(slope[:, :-1], slope[:, 1:]) * np.diff(s)
+        best = min(m.min(), v.min())
+        end, cell = np.nonzero(v[:, :-1] + v[:, 1:] - slack < 2.0 * best)
+        lo, hi, k = s[end, cell], s[end, cell + 1], k[end]
+        rows, last = np.arange(cell.size), _DIST_ZOOM.size - 1
+        while cell.size and (hi - lo).max() > _DIST_TOL:
+            t = lo[:, None] + (hi - lo)[:, None] * _DIST_ZOOM
+            v = np.hypot(t - 1.0, k * t**rho - 1.0)
+            j = v.argmin(axis=1)
+            best = min(best, v[rows, j].min())
+            lo = t[rows, np.maximum(j - 1, 0)]
+            hi = t[rows, np.minimum(j + 1, last)]
+    return float(best)
 
 
 class TranslatedDomain:
@@ -419,21 +458,12 @@ class ModulusRegion(TranslatedDomain):
                                   self.log_k2)
 
     def distance_bounds(self):
-        best = math.inf
-        for lk in (self.log_k1, self.log_k2):
-            if not math.isfinite(lk):
-                continue
-            k = math.exp(lk)
-
-            def dist2(r, k=k):
-                return (1.0 - r) ** 2 + (k * r ** self.rho - 1.0) ** 2
-
-            out = minimize_scalar(dist2, bounds=(1e-12, 16.0),
-                                  method="bounded",
-                                  options={"xatol": _DIST_TOL})
-            best = min(best, math.sqrt(out.fun))
-        if not math.isfinite(best):
+        ks = [math.exp(lk) for lk in (self.log_k1, self.log_k2)
+              if math.isfinite(lk)]
+        if not ks:
             raise EvaluationError("region has no finite boundary")
+        # the coordinate axis beyond each finite end lies outside, 1 away
+        best = _curves_distance(ks, self.rho)
         return (best - _DIST_TOL, best + _DIST_TOL)
 
     def wos_domain(self):
@@ -529,8 +559,10 @@ def translate_domain(spec, anchor, params: HopfParams,
 def distance_to_identity(translated) -> tuple[float, float]:
     """(lower, upper) bounds on the distance from (1, 1) to the boundary.
 
-    Exact for ProductHalfPlane; a bracketed one-dimensional minimization
-    (tolerance 1e-10) for modulus regions; for generic translates an upper
+    Exact for ProductHalfPlane; for modulus regions a global search over
+    the foot-point bracket of each finite end's curve (a Lipschitz-pruned
+    grid, then refinement, bracket width 2e-10), against the coordinate
+    axis beyond that end at distance 1; for generic translates an upper
     bound from bisection along 64 seeded random rays of length <= 4 and the
     trivial lower bound 0.0.
     """

@@ -118,6 +118,21 @@ def _quotient_point(pt) -> tuple[complex, complex]:
     return z, w
 
 
+def _hopf_point(rz: complex, rw: complex, n: int, on_Ta: bool,
+                on_Tb: bool) -> HopfPoint:
+    """HopfPoint without the frozen-dataclass __init__ and __post_init__,
+    for callers whose input already passed _quotient_point (so not both
+    flags hold)."""
+    pt = object.__new__(HopfPoint)
+    pt.__dict__.update(rep_z=rz, rep_w=rw, lift_index=n, on_Ta=on_Ta,
+                       on_Tb=on_Tb)
+    return pt
+
+
+# |rep| bound above which index floor(t) - 1 cannot lie in F (see below)
+_FAST_MARGIN = 1.0 + 1e-9
+
+
 def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
     """Reduce (z, w) != (0, 0) to its representative in F.
 
@@ -127,7 +142,11 @@ def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
     smallest index with its representative in F wins (deterministic on the
     glued outer faces), else the one of least shell violation if <= 1e-12.
     A representative above DBL_MAX (|a| or |b| above about 1e154) is
-    outside F.
+    outside F.  The fast path returns the floor(t) representative when it
+    lies in F with max(|rep_z|, |rep_w|) > 1 + 1e-9: index floor(t) - 1 is
+    then outside F, so the window would pick the same index.  Every other
+    point (within that margin of the inner faces, floor(t) outside F, an
+    overflow) runs the window.
 
     Raises InvalidInputError for the origin or a NaN/inf coordinate, and
     EvaluationError when no index comes within 1e-12 of F.  Rounding moves
@@ -138,6 +157,28 @@ def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
     z, w = _quotient_point(pt)
     la, lb = params.log_abs_a, params.log_abs_b
     n0 = math.floor(max(_log_modulus(z) / la, _log_modulus(w) / lb))
+    # Exactly, the floor(t) - 1 representative is (a rz, b rw), which lies
+    # in F only if |rz| <= 1 and |rw| <= 1.  Rounding moves a modulus by
+    # under 4e-13 (see above), so past the margin the window also rejects
+    # floor(t) - 1 and returns this representative, computed by the same
+    # _deck_divide calls, bit for bit.
+    try:
+        rz = _deck_divide(z, params.a, n0, la)
+        rw = _deck_divide(w, params.b, n0, lb)
+        az, aw = abs(rz), abs(rw)
+    except OverflowError:
+        pass
+    else:
+        if (_in_fundamental_domain(az, aw, params)
+                and max(az, aw) > _FAST_MARGIN):
+            return _hopf_point(rz, rw, n0, w == 0, z == 0)
+    return _reduce_window(pt, z, w, n0, params)
+
+
+def _reduce_window(pt, z: complex, w: complex, n0: int,
+                   params: HopfParams) -> HopfPoint:
+    """reduce_point over the whole window floor(t) + (-1, 0, 1)."""
+    la, lb = params.log_abs_a, params.log_abs_b
     window = []
     for n in (n0 - 1, n0, n0 + 1):
         try:
@@ -154,8 +195,7 @@ def reduce_point(pt: tuple[complex, complex], params: HopfParams) -> HopfPoint:
         if v > 1e-12:
             raise EvaluationError(
                 f"could not reduce {pt} into the fundamental shell")
-    return HopfPoint(rep_z=rz, rep_w=rw, lift_index=n,
-                     on_Ta=(w == 0), on_Tb=(z == 0))
+    return _hopf_point(rz, rw, n, w == 0, z == 0)
 
 
 def _modulus(x: np.ndarray) -> np.ndarray:

@@ -2,6 +2,9 @@
 
 import cmath
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -161,6 +164,30 @@ class TestDistanceToIdentity:
             dists.append(hi)
         assert dists == sorted(dists, reverse=True)
         assert dists[-1] < 0.05
+
+    @pytest.mark.parametrize("lo_k, hi_k", [(-0.5, math.inf),
+                                            (-math.inf, 0.3), (-2.0, 1.5)])
+    def test_modulus_region_bracket_on_lines(self, lo_k, hi_k):
+        # rho = 1: each end is the line s2 = k s1, |k - 1| / hypot(1, k) away
+        d = min(abs(math.exp(lk) - 1.0) / math.hypot(1.0, math.exp(lk))
+                for lk in (lo_k, hi_k) if math.isfinite(lk))
+        lo, hi = distance_to_identity(ModulusRegion(lo_k, hi_k, 1.0))
+        assert lo <= d <= hi <= lo + 2.0000001e-10
+
+    def test_modulus_region_finds_the_far_foot_point(self):
+        # two local minima of the curve distance, about 0.9995 below the
+        # identity and 0.98 near s1 = 2: the far one is the distance
+        lo, hi = distance_to_identity(
+            ModulusRegion(-7.6246189861593985, math.inf, 11.0))
+        assert 0.980 < lo < hi < 0.981
+
+    def test_import_leaves_scipy_optimize_out(self):
+        import hopfsurf
+        src = os.path.dirname(os.path.dirname(hopfsurf.__file__))
+        code = ("import hopfsurf, sys; "
+                "assert 'scipy.optimize' not in sys.modules")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
     def test_generic_translate_bracket(self):
         spec = Nemirovskii(1.0, 0.0)

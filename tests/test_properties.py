@@ -1,6 +1,7 @@
 """Property tests for fundamental-shell reduction over the whole float range,
 for array evaluation of RealPoly2, for the walk-on-spheres distances and
-for the array fiber enumeration against its scalar reference.
+for the array fiber enumeration against its scalar reference, and for the
+reduce_point fast path against its window-loop reference.
 
 Points are drawn with log-moduli from the smallest subnormal up to DBL_MAX,
 either as (log-modulus, phase) pairs or as raw float components, which also
@@ -19,10 +20,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from fiber_reference import fiber_bits, reference_fiber_set
+from quotient_reference import point_bits, reference_reduce_point
 from scipy.optimize import minimize_scalar
 
 from hopfsurf.cli import main
-from hopfsurf.domains import (LevelBand, SubLevel, SuperLevel,
+from hopfsurf.domains import (LevelBand, ModulusRegion, SubLevel, SuperLevel,
                               translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.flows import VectorField, fiber_set, unit_field
@@ -122,6 +124,49 @@ def test_reduce_points_raises_on_a_bad_row(params, pts, bad, data):
 
 def _normal(x: complex) -> bool:
     return DBL_MIN <= math.hypot(x.real, x.imag) <= DBL_MAX
+
+
+@st.composite
+def face_points(draw, params):
+    """A point a few ulps off a face of F, lifted by a deck power."""
+    A, B = abs(params.a), abs(params.b)
+    face = draw(st.sampled_from(["z=1", "z=A", "w=1", "w=B"]))
+    r = draw(st.floats(0.0, 1.0))
+    if face[0] == "z":
+        mz, mw = (1.0 if face == "z=1" else A), r * B
+    else:
+        mz, mw = r * A, (1.0 if face == "w=1" else B)
+    for _ in range(draw(st.integers(0, 3))):
+        mz = math.nextafter(mz, draw(st.sampled_from([0.0, math.inf])))
+    for _ in range(draw(st.integers(0, 3))):
+        mw = math.nextafter(mw, draw(st.sampled_from([0.0, math.inf])))
+    z, w = cmath.rect(mz, draw(phases)), cmath.rect(mw, draw(phases))
+    n = draw(st.integers(-40, 40))
+    assume(abs(n) * params.log_abs_b < 700.0)
+    return (z * params.a**n, w * params.b**n)
+
+
+def _outcome(reduce, pt, params):
+    try:
+        return point_bits(reduce(pt, params))
+    except (InvalidInputError, EvaluationError) as e:
+        return (type(e), str(e))
+
+
+@PROPERTY
+@given(params=st.one_of(multipliers(1.0 + 1e-15, 1e308),
+                        multipliers(1.0 + 1e-15, 1.0 + 1e-6)),
+       data=st.data())
+def test_reduce_point_matches_window_reference(params, data):
+    axis = st.builds(lambda x, on_z: (x, 0j) if on_z else (0j, x),
+                     coordinates(), st.booleans())
+    pts = data.draw(st.lists(st.one_of(
+        st.tuples(coordinates(), coordinates()), face_points(params), axis,
+        st.sampled_from([(0j, 0j), (math.nan, 1.0), (1.0, math.inf)])),
+        min_size=1, max_size=8))
+    for pt in pts:
+        assert (_outcome(reduce_point, pt, params)
+                == _outcome(reference_reduce_point, pt, params))
 
 
 @PROPERTY
@@ -315,6 +360,30 @@ def test_modulus_distance_is_a_certified_lower_bound(td, pts, seed):
     if math.isfinite(td.log_k1):
         axes.append([1.0, 0.0, 0.0, 0.0])   # eta = 0
     assert not td.wos_domain().distance(np.array(axes)).any()
+
+
+@st.composite
+def modulus_regions(draw):
+    """A ModulusRegion about the identity, rho in [1, 20], finite ends in
+    [-8, 8].  A lower end may instead put the curve through s2 = 1 near
+    s1 = 2, where its foot point competes with the one below the identity
+    and with the eta = 0 axis, all about 1 away."""
+    rho = draw(st.floats(1.0, 20.0))
+    tie = -rho * math.log(draw(st.floats(1.9, 2.1)))
+    lo = draw(st.one_of(st.just(-math.inf), st.floats(-8.0, -1e-3),
+                        st.just(max(tie, -8.0))))
+    hi = draw(st.one_of(st.just(math.inf), st.floats(1e-3, 8.0)))
+    assume(math.isfinite(lo) or math.isfinite(hi))
+    return ModulusRegion(lo, hi, rho)
+
+
+@settings(derandomize=True, deadline=None, max_examples=500)
+@given(td=modulus_regions())
+def test_modulus_distance_bracket_holds_the_distance(td):
+    lo, hi = td.distance_bounds()
+    d = _brute_distance(td, 1.0, 1.0)
+    assert lo <= d * (1.0 + 1e-9)
+    assert hi - lo <= 2e-10 * (1.0 + 1e-6)
 
 
 @st.composite

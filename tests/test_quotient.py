@@ -1,6 +1,7 @@
 """Tests for fundamental-shell reduction and the level coordinate."""
 
 import cmath
+import dataclasses
 import math
 import struct
 import time
@@ -11,9 +12,11 @@ import pytest
 from hopfsurf import quotient
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
-from hopfsurf.quotient import (_in_fundamental_domain, _shell_violation,
-                               equivalent, leaf_equivalent, level_membership,
-                               reduce_point, reduce_points, u_value)
+from hopfsurf.quotient import (HopfPoint, _hopf_point, _in_fundamental_domain,
+                               _shell_violation, equivalent, leaf_equivalent,
+                               level_membership, reduce_point, reduce_points,
+                               u_value)
+from quotient_reference import point_bits, reference_reduce_point
 
 PARAMS = HopfParams(2 + 0j, 4 + 0j)
 PARAMS_TWIST = HopfParams(complex(2 * cmath.exp(0.7j)),
@@ -64,6 +67,48 @@ class TestReducePoint:
     def test_origin_rejected(self):
         with pytest.raises(InvalidInputError):
             reduce_point((0j, 0j), PARAMS)
+
+
+class TestFastPath:
+    """reduce_point returns index floor(t) at once unless its representative
+    is within 1e-9 of the inner faces, outside F, or overflows."""
+
+    @pytest.fixture
+    def window_calls(self, monkeypatch):
+        calls = []
+        window = quotient._reduce_window
+        monkeypatch.setattr(quotient, "_reduce_window",
+                            lambda pt, *a: calls.append(pt) or window(pt, *a))
+        return calls
+
+    def test_margin_point_runs_the_window(self, window_calls):
+        pt = ((1.0 + 1e-12) * 2**5, 0.5 * 4**5)   # rep (1 + 1e-12, 0.5)
+        got = reduce_point(pt, PARAMS)
+        assert window_calls == [pt]
+        assert got.lift_index == 5 and abs(got.rep_z) == 1.0 + 1e-12
+        want = reference_reduce_point(pt, PARAMS)
+        assert point_bits(got) == point_bits(want)
+
+    @pytest.mark.parametrize("pt", [(1.5 * 2**5, 0.5 * 4**5),
+                                    ((1.0 + 1e-8) * 2**5, 0.5 * 4**5),
+                                    (0.3 * 2**-7, 3.0 * 4**-7)])
+    def test_interior_point_skips_the_window(self, window_calls, pt):
+        got = reduce_point(pt, PARAMS)
+        assert window_calls == []
+        want = reference_reduce_point(pt, PARAMS)
+        assert point_bits(got) == point_bits(want)
+
+    def test_hopf_point_matches_the_constructor(self):
+        for args in ((1.5 + 0.5j, 0.25j, -3, False, False),
+                     (2.0 + 0j, 0j, 7, True, False)):
+            fast, slow = _hopf_point(*args), HopfPoint(*args)
+            assert fast == slow and hash(fast) == hash(slow)
+            assert repr(fast) == repr(slow)
+            assert dataclasses.asdict(fast) == dataclasses.asdict(slow)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                fast.lift_index = 0
+        with pytest.raises(InvalidInputError):
+            HopfPoint(0j, 0j, 0, True, True)
 
 
 class TestExtremeModuli:
