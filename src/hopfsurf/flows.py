@@ -222,7 +222,7 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
         # is redundant; enumerating the raw (n, k) grid would spend O(N^2)
         # steps on duplicates, so pick the enumeration to match.
         if abs(tau_eff) < 1e-15:
-            pairs_at = _spiral_rows          # (0, n): n alone sets the phase
+            pairs_at = _spiral_rows          # (0, n): only n sets the phase
 
             def phase(_zero, n):
                 return n * r_exp

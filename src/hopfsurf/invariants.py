@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import (CaseError, ConsistencyError, InvalidInputError,
-                     _require_finite, _require_nonneg)
+from .errors import (ConsistencyError, InvalidInputError, _require_finite,
+                     _require_nonneg)
 
 TWO_PI = 2.0 * math.pi
 
@@ -316,9 +316,3 @@ def derive_invariants(params: HopfParams, mode) -> InvariantSet:
         return _finish_rational_rho(params, rho, rho_rat, p, q, tau, tau_rat)
 
     raise InvalidInputError(f"unknown mode {mode!r}")
-
-
-def require_case(inv: InvariantSet, tag: str) -> None:
-    """Raise CaseError unless inv.case_tag == tag."""
-    if inv.case_tag != tag:
-        raise CaseError(f"operation requires {tag}, invariants are {inv.case_tag}")

@@ -79,17 +79,6 @@ class RealPoly2:
             out[k] = out.get(k, 0.0) + c
         return RealPoly2(out)
 
-    def scale(self, s: float) -> "RealPoly2":
-        return RealPoly2({k: s * c for k, c in self.coeffs.items()})
-
-    def __mul__(self, other: "RealPoly2") -> "RealPoly2":
-        out: dict = {}
-        for (i, j), c in self.coeffs.items():
-            for (p, q), d in other.coeffs.items():
-                k = (i + p, j + q)
-                out[k] = out.get(k, 0.0) + c * d
-        return RealPoly2(out)
-
     # -- structure ----------------------------------------------------------
 
     @property

@@ -33,7 +33,6 @@ from .invariants import HopfParams, InvariantSet
 _LN2 = math.log(2.0)
 _DBL_MIN = sys.float_info.min  # the smallest normal float
 _DBL_MAX = sys.float_info.max
-_EPS = sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -227,13 +226,16 @@ def reduce_points(z, w, params: HopfParams
 
     Row i equals reduce_point((z[i], w[i]), params) bit for bit.  A row is
     reduced with whole-array operations when its moduli are normal floats,
-    t sits clear of an integer, |n| log|c| < 708 and one of the window
-    indices floor(t) - 1, floor(t) puts a finite representative in F; each
-    rounding step is the scalar path's (hypot, the Python power c**n,
-    CPython's complex division).  Every other row (NaN/inf, the origin, a
-    zero, subnormal or overflowing modulus, the ldexp split, the ulp
-    tie-break, index floor(t) + 1) goes through reduce_point, so the first
-    row that reduce_point rejects raises its error.
+    |n| log|c| < 708 and the representative at n = floor(t) passes the fast
+    path's rule (in F, max(|rep_z|, |rep_w|) > _FAST_MARGIN).  numpy's log
+    may differ from libm's by an ulp, so reduce_point may floor t to n - 1,
+    n or n + 1; past the margin index n - 1 lies outside F, and it picks n
+    in each case.  Each rounding step is the scalar path's (hypot, the
+    Python power c**n, CPython's complex division).  Every other row
+    (NaN/inf, the origin, a zero, subnormal or overflowing modulus, the
+    ldexp split, a row within the margin, the ulp tie-break) goes through
+    reduce_point, so the first row that reduce_point rejects raises its
+    error.
     """
     z = np.asarray(z, dtype=complex)
     w = np.asarray(w, dtype=complex)
@@ -244,24 +246,21 @@ def reduce_points(z, w, params: HopfParams
         rows = np.flatnonzero((_DBL_MIN <= mz) & (mz <= _DBL_MAX)
                               & (_DBL_MIN <= mw) & (mw <= _DBL_MAX))
         la, lb = params.log_abs_a, params.log_abs_b
-        t = np.maximum(np.log(mz[rows]) / la, np.log(mw[rows]) / lb)
-        n = np.floor(t).astype(np.int64)[:, None] + np.array([-1, 0])
-        # numpy's log may differ from libm's by an ulp, which moves t by a
-        # few eps |t|; a row that close to an integer may floor differently.
-        plain = ((np.abs(n) * max(la, lb) < 708.0).all(axis=1)
-                 & (np.abs(t - np.round(t)) > 16 * _EPS * np.abs(t)))
+        n = np.floor(np.maximum(np.log(mz[rows]) / la,
+                                np.log(mw[rows]) / lb)).astype(np.int64)
+        plain = np.abs(n) * max(la, lb) < 708.0
         rows, n = rows[plain], n[plain]
         ns, at = np.unique(n, return_inverse=True)
-        at = at.reshape(n.shape)
-        rz = _quot(z[rows, None],
+        rz = _quot(z[rows],
                    np.array([complex(params.a**k) for k in ns.tolist()])[at])
-        rw = _quot(w[rows, None],
+        rw = _quot(w[rows],
                    np.array([complex(params.b**k) for k in ns.tolist()])[at])
-        in_f = _in_fundamental_domain(_modulus(rz), _modulus(rw), params)
-        ok = in_f.any(axis=1) & (np.isfinite(rz) & np.isfinite(rw)).all(axis=1)
-    rows, j = rows[ok], in_f[ok].argmax(axis=1)
-    k = np.flatnonzero(ok)
-    rep_z[rows], rep_w[rows], lift[rows] = rz[k, j], rw[k, j], n[k, j]
+        az, aw = _modulus(rz), _modulus(rw)
+        # NaN compares false, so a non-finite representative fails here too
+        ok = (_in_fundamental_domain(az, aw, params)
+              & (np.maximum(az, aw) > _FAST_MARGIN))
+    rows = rows[ok]
+    rep_z[rows], rep_w[rows], lift[rows] = rz[ok], rw[ok], n[ok]
     rest = np.ones(z.shape, dtype=bool)
     rest[rows] = False
     for i in np.flatnonzero(rest).tolist():

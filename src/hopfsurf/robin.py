@@ -97,17 +97,18 @@ class HalfSpace:
         object.__setattr__(self, "normal", tuple(n / nn))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        return x @ np.asarray(self.normal) - self.offset
+        # einsum, not a matmul: numpy rounds a one-row matmul (dot) unlike a
+        # many-row one (gemv), and each row must not depend on the row count
+        return np.einsum("...j,j->...", x, np.asarray(self.normal)) - self.offset
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        n = np.asarray(self.normal)
-        d = (x @ n - self.offset)[..., None]
-        return x - d * n
+        return x - self.distance(x)[..., None] * np.asarray(self.normal)
 
 
 @dataclass(frozen=True)
 class GenericSolvable:
-    """Caller-supplied vectorized inscribed-sphere radius; no projection."""
+    """Caller-supplied vectorized inscribed-sphere radius; no projection.
+    distance_fn must give each row the bits of a one-row call on it."""
 
     distance_fn: Callable  # (B, 4) -> (B,) lower bound on boundary distance
 
@@ -224,38 +225,17 @@ def _escape_reach(pole, r_max, max_steps):
     return r_max / 2.0 if drift < r_max / 4.0 else 0.0
 
 
-def _rowwise(f, x, lone):
-    """f(x), with each row listed in `lone` evaluated in a call of its own.
-
-    A block run alone calls the domain on its own rows.  numpy computes a
-    one-row matmul (HalfSpace) by dot, which rounds differently from the
-    gemv of a larger call, so a row that is the only one of its block in a
-    call gets a one-row call here too.
-    """
-    if not len(lone) or len(x) == 1:
-        return f(x)
-    rest = np.ones(len(x), dtype=bool)
-    rest[lone] = False
-    rest = np.flatnonzero(rest)
-    vals = np.concatenate([f(x[i:i + 1]) for i in lone.tolist()]
-                          + ([f(x.take(rest, axis=0))] if len(rest) else []))
-    out = np.empty_like(vals)
-    out[np.concatenate([lone, rest])] = vals
-    return out
-
-
 def _run_wave(domain, pole, sizes, rngs, c_weight, eps, r_max, max_steps):
     """Run consecutive blocks of walks from the pole in lockstep.
 
     Block j has sizes[j] walks and draws from rngs[j]; each step draws its
     live walks' directions, in walk order, into its slice of one buffer, so
-    every block sees exactly the stream it would see alone.  Only live walks
-    are stepped; idx maps each live row to its walk number, and block j
-    holds rows cuts[j]:cuts[j + 1].  Returns (contrib, truncated, escaped).
+    every block sees exactly the stream it would see on its own.  Only live
+    walks are stepped; idx maps each live row to its walk number, and block
+    j holds rows cuts[j]:cuts[j + 1].  Returns (contrib, truncated, escaped).
     """
     n = sum(sizes)
     starts = np.cumsum([0, *sizes[:-1]])
-    cuts = np.append(starts, n)
     pos = np.tile(pole, (n, 1))
     weight = np.ones(n)
     travel = np.zeros(n)
@@ -265,14 +245,11 @@ def _run_wave(domain, pole, sizes, rngs, c_weight, eps, r_max, max_steps):
     reach = _escape_reach(pole, r_max, max_steps)
     escaped = 0
     for _ in range(max_steps):
-        d = _rowwise(domain.distance, pos, cuts[:-1][np.diff(cuts) == 1])
+        d = domain.distance(pos)
         end = d <= eps
         hits = np.flatnonzero(end)
         if len(hits):
-            blk = np.searchsorted(cuts, hits, side="right") - 1
-            lone = np.flatnonzero(np.bincount(blk)[blk] == 1)
-            r = _norm(_rowwise(domain.project, pos.take(hits, axis=0), lone)
-                      - pole)
+            r = _norm(domain.project(pos.take(hits, axis=0)) - pole)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
             contrib[idx.take(hits)] = weight.take(hits) * kernel(r)
         far = np.flatnonzero(travel >= reach)
@@ -316,7 +293,10 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     default_rng([seed, b]), and blocks are merged in index order -- so the
     estimate does not depend on the order in which blocks are run.
     Consecutive blocks are stepped in lockstep waves of at most _WAVE_WALKS
-    walks, which changes no draw and no output bit.
+    walks, which changes no draw and no output bit as long as the domain's
+    distance and project give each row of an (n, 4) call the bits of a
+    one-row call on it, whatever n: every built-in domain does (HalfSpace
+    uses einsum, not a matmul, for that reason).
     """
     if not _is_int(n_walks) or n_walks < 1:
         raise InvalidInputError(f"n_walks must be an integer >= 1, "
@@ -357,7 +337,7 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
 # oracles
 
 
-def ball_oracle(R: float, c: float = 0.0, pole_at_center: bool = True) -> float:
+def ball_oracle(R: float, c: float = 0.0) -> float:
     """Robin-type constant of the centered ball, independent of the sampler.
 
     The radial profile U'' + (3/rho) U' = c U, U(0) = 1, U'(0) = 0, is
@@ -366,8 +346,6 @@ def ball_oracle(R: float, c: float = 0.0, pole_at_center: bool = True) -> float:
     R^2; for c = 0 it is -1/R^2 (-inf or -0.0 where R^2 leaves the float
     range).
     """
-    if not pole_at_center:
-        raise InvalidInputError("oracle only covers the centered pole")
     if not (math.isfinite(R) and R > 0):
         raise InvalidInputError(f"R must be finite and > 0, got {R}")
     _require_nonneg(c, "c")

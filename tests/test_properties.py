@@ -21,7 +21,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from fiber_reference import fiber_bits, reference_fiber_set
 from quotient_reference import point_bits, reference_reduce_point
-from scipy.optimize import minimize_scalar
 
 from hopfsurf.cli import main
 from hopfsurf.domains import (LevelBand, ModulusRegion, SubLevel, SuperLevel,
@@ -32,7 +31,7 @@ from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.poly import MAX_DEGREE, RealPoly2
 from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
                                u_value)
-from hopfsurf.robin import _norm
+from hopfsurf.robin import HalfSpace, _norm
 
 EPS = sys.float_info.epsilon
 DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
@@ -88,10 +87,39 @@ def _bits(x) -> bytes:
     return struct.pack("<dd", x.real, x.imag)
 
 
+def _normal(x: complex) -> bool:
+    return DBL_MIN <= math.hypot(x.real, x.imag) <= DBL_MAX
+
+
+@st.composite
+def face_points(draw, params):
+    """A point a few ulps off a face of F, lifted by a deck power."""
+    A, B = abs(params.a), abs(params.b)
+    face = draw(st.sampled_from(["z=1", "z=A", "w=1", "w=B"]))
+    r = draw(st.floats(0.0, 1.0))
+    if face[0] == "z":
+        mz, mw = (1.0 if face == "z=1" else A), r * B
+    else:
+        mz, mw = r * A, (1.0 if face == "w=1" else B)
+    for _ in range(draw(st.integers(0, 3))):
+        mz = math.nextafter(mz, draw(st.sampled_from([0.0, math.inf])))
+    for _ in range(draw(st.integers(0, 3))):
+        mw = math.nextafter(mw, draw(st.sampled_from([0.0, math.inf])))
+    z, w = cmath.rect(mz, draw(phases)), cmath.rect(mw, draw(phases))
+    n = draw(st.integers(-40, 40))
+    assume(abs(n) * params.log_abs_b < 700.0)
+    return (z * params.a**n, w * params.b**n)
+
+
 @PROPERTY
 @given(params=multipliers(1.0 + 1e-15, 1e308),
-       pts=st.lists(st.tuples(coordinates(), coordinates()), max_size=12))
-def test_reduce_points_matches_reduce_point(params, pts):
+       pts=st.lists(st.tuples(coordinates(), coordinates()), max_size=12),
+       data=st.data())
+def test_reduce_points_matches_reduce_point(params, pts, data):
+    # plus points a few ulps off a face lifted by a deck power, that is
+    # a**k (1 +- eps) or b**k (1 +- eps), where t lies next to an integer
+    finite = face_points(params).filter(lambda p: all(map(cmath.isfinite, p)))
+    pts = pts + data.draw(st.lists(finite, min_size=1, max_size=12))
     z = np.array([p[0] for p in pts], dtype=complex)
     w = np.array([p[1] for p in pts], dtype=complex)
     rz, rw, n = reduce_points(z, w, params)
@@ -120,30 +148,6 @@ def test_reduce_points_raises_on_a_bad_row(params, pts, bad, data):
         reduce_points(np.array([p[0] for p in rows], dtype=complex),
                       np.array([p[1] for p in rows], dtype=complex), params)
     assert str(batch.value) == str(scalar.value)
-
-
-def _normal(x: complex) -> bool:
-    return DBL_MIN <= math.hypot(x.real, x.imag) <= DBL_MAX
-
-
-@st.composite
-def face_points(draw, params):
-    """A point a few ulps off a face of F, lifted by a deck power."""
-    A, B = abs(params.a), abs(params.b)
-    face = draw(st.sampled_from(["z=1", "z=A", "w=1", "w=B"]))
-    r = draw(st.floats(0.0, 1.0))
-    if face[0] == "z":
-        mz, mw = (1.0 if face == "z=1" else A), r * B
-    else:
-        mz, mw = r * A, (1.0 if face == "w=1" else B)
-    for _ in range(draw(st.integers(0, 3))):
-        mz = math.nextafter(mz, draw(st.sampled_from([0.0, math.inf])))
-    for _ in range(draw(st.integers(0, 3))):
-        mw = math.nextafter(mw, draw(st.sampled_from([0.0, math.inf])))
-    z, w = cmath.rect(mz, draw(phases)), cmath.rect(mw, draw(phases))
-    n = draw(st.integers(-40, 40))
-    assume(abs(n) * params.log_abs_b < 700.0)
-    return (z * params.a**n, w * params.b**n)
 
 
 def _outcome(reduce, pt, params):
@@ -269,24 +273,54 @@ def test_norm_matches_linalg_norm_bit_for_bit(rows):
     assert got.tobytes() == want.tobytes()
 
 
+@st.composite
+def half_spaces(draw):
+    """A HalfSpace whose normal has at least two nonzero components."""
+    normal = draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4))
+    for i in draw(st.lists(st.integers(0, 3), min_size=2, max_size=2,
+                           unique=True)):
+        normal[i] = draw(st.one_of(st.floats(-1.0, -1e-3),
+                                   st.floats(1e-3, 1.0)))
+    return HalfSpace(normal=tuple(normal), offset=draw(st.floats(-10.0, 10.0)))
+
+
+@PROPERTY
+@given(hs=half_spaces(),
+       rows=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4), min_size=1,
+                     max_size=64))
+def test_half_space_rows_do_not_depend_on_the_row_count(hs, rows):
+    # walk-on-spheres steps a wave of blocks in one call; each row must get
+    # the bits that a call of its own would give it
+    x = np.array(rows)
+    for f in (hs.distance, hs.project):
+        one_by_one = np.concatenate([f(x[i:i + 1]) for i in range(len(x))])
+        assert f(x).tobytes() == one_by_one.tobytes()
+
+
 def _curve_distance(p1, p2, k, rho):
     """Distance from (p1, p2) to the increasing curve s2 = k s1^rho.
 
     The foot point lies between the point's vertical and horizontal
     projections onto the curve, s1 in [p1, (p2/k)^(1/rho)]; a 1001-point
-    scan of that bracket is refined by a bounded scalar minimization, so
-    the result never falls below the true distance beyond rounding.
+    scan of that bracket is zoomed onto the best sample's two neighbouring
+    cells until they stop shrinking, at float resolution, so the result is
+    the distance up to rounding and never falls below it beyond rounding.
     """
     a, b = sorted((p1, (p2 / k) ** (1.0 / rho)))
 
     def d2(t):
         return (t - p1) ** 2 + (k * t**rho - p2) ** 2
 
-    t = np.linspace(a, b, 1001)
-    j = int(np.argmin(d2(t)))
-    res = minimize_scalar(d2, bounds=(t[max(j - 1, 0)], t[min(j + 1, 1000)]),
-                          method="bounded", options={"xatol": 1e-15 * b})
-    return math.sqrt(min(res.fun, d2(t[j])))
+    best = math.inf
+    while True:
+        t = np.linspace(a, b, 1001)
+        v = d2(t)
+        j = int(np.argmin(v))
+        best = min(best, float(v[j]))
+        lo, hi = t[max(j - 1, 0)], t[min(j + 1, 1000)]
+        if (lo, hi) == (a, b):
+            return math.sqrt(best)
+        a, b = lo, hi
 
 
 def _brute_distance(td, s1, s2):
@@ -383,6 +417,7 @@ def test_modulus_distance_bracket_holds_the_distance(td):
     lo, hi = td.distance_bounds()
     d = _brute_distance(td, 1.0, 1.0)
     assert lo <= d * (1.0 + 1e-9)
+    assert hi >= d * (1.0 - 1e-9)
     assert hi - lo <= 2e-10 * (1.0 + 1e-6)
 
 
