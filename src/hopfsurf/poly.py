@@ -46,7 +46,8 @@ class RealPoly2:
             return np.asarray(sum((c * x**i * y**j for (i, j), c in
                                    self.coeffs.items()),
                                   np.zeros(np.broadcast(x, y).shape)))
-        return sum(c * x**i * y**j for (i, j), c in self.coeffs.items())
+        return sum((c * x**i * y**j for (i, j), c in self.coeffs.items()),
+                   0.0)
 
     def __call__(self, z):
         return self.eval(*_xy(z))
@@ -64,8 +65,12 @@ class RealPoly2:
     def wirtinger_z(self, z):
         """(d/dx - i d/dy)/2 at z (or elementwise on an array)."""
         x, y = _xy(z)
-        gx, gy = self.dx().eval(x, y), self.dy().eval(x, y)
-        return 0.5 * (gx - 1j * gy if np.ndim(gx) else complex(gx, -gy))
+        dy = self.dy()
+        gx, gy = self.dx().eval(x, y), dy.eval(x, y)
+        if np.ndim(gx):
+            return 0.5 * (gx - 1j * gy)
+        # -gy is -0.0 where gy is 0.0; a zero d/dy leaves the imaginary part +0
+        return 0.5 * (complex(gx, -gy) if dy.coeffs else complex(gx))
 
     def laplacian(self, z):
         x, y = _xy(z)

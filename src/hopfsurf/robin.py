@@ -26,12 +26,21 @@ supported through per-step survival factors; the matching functional is
 certified for centered balls only, against the closed form
 -x / (2 I_1(x) R^2) with x = sqrt(c) R.  Off the centered ball it is
 qualitative, the one qualitative estimate left in this module.
+
+Walks run in blocks that own their random streams, stepped together in
+waves.  One robin_constant call runs its waves on one thread per CPU in the
+process's affinity mask, the caller included, with at most 32,768 walks in
+flight across all threads (or one block per thread, if blocks are larger);
+the estimate is the same, bit for bit, for any number of CPUs.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -108,7 +117,8 @@ class HalfSpace:
 @dataclass(frozen=True)
 class GenericSolvable:
     """Caller-supplied vectorized inscribed-sphere radius; no projection.
-    distance_fn must give each row the bits of a one-row call on it."""
+    distance_fn must give each row the bits of a one-row call on it, and
+    may be called from several threads at once, each call on its own rows."""
 
     distance_fn: Callable  # (B, 4) -> (B,) lower bound on boundary distance
 
@@ -203,10 +213,19 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(n)
 
 
-# blocks are stepped together in waves of at most this many walks (at least
-# one block): long enough to amortize numpy's per-call cost over the tail of
-# a wave, short enough to keep the working set small
+# blocks are stepped together in waves; all the waves in flight hold at most
+# this many walks (each wave at least one block): long enough to amortize
+# numpy's per-call cost over the tail of a wave, short enough to keep the
+# working set small
 _WAVE_WALKS = 32768
+
+
+# threads that step the waves of one robin_constant call, the caller
+# included: one per CPU in the process's affinity mask
+try:
+    _WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # no affinity call on this platform
+    _WORKERS = os.cpu_count() or 1
 
 
 def _escape_reach(pole, r_max, max_steps):
@@ -283,6 +302,44 @@ def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
                      max_steps)
 
 
+def _map_waves(run, waves: list) -> list:
+    """[run(w) for w in waves], computed on up to _WORKERS threads.
+
+    The caller and min(_WORKERS, len(waves)) - 1 helper threads run one loop:
+    take the next wave index from a shared counter, run it, and store the
+    result under that index.  The first exception in any thread stops
+    further waves from being taken and is raised here once every helper
+    has been joined, so no thread outlives the call.
+    """
+    n_waves = len(waves)
+    results = [None] * n_waves
+    queue = itertools.count()
+    failures = []
+
+    def drain():
+        try:
+            for i in queue:
+                if i >= n_waves or failures:
+                    return
+                results[i] = run(waves[i])
+        except BaseException as exc:  # re-raised by the caller
+            failures.append(exc)
+
+    helpers = [threading.Thread(target=drain, daemon=True)
+               for _ in range(min(_WORKERS, n_waves) - 1)]
+    try:
+        for t in helpers:
+            t.start()
+        drain()
+    finally:
+        failures.append(None)  # stops the helpers if the caller was cut short
+        for t in helpers:
+            t.join()
+    if failures[0] is not None:
+        raise failures[0]
+    return results
+
+
 def robin_constant(domain, pole, n_walks: int, seed: int,
                    c_weight: float = 0.0,
                    config: WosConfig = WosConfig()) -> RobinEstimate:
@@ -292,11 +349,20 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     into fixed-size blocks, block b drawing from its own substream
     default_rng([seed, b]), and blocks are merged in index order -- so the
     estimate does not depend on the order in which blocks are run.
-    Consecutive blocks are stepped in lockstep waves of at most _WAVE_WALKS
-    walks, which changes no draw and no output bit as long as the domain's
-    distance and project give each row of an (n, 4) call the bits of a
-    one-row call on it, whatever n: every built-in domain does (HalfSpace
-    uses einsum, not a matmul, for that reason).
+    Consecutive blocks are stepped in lockstep waves, which changes no draw
+    and no output bit as long as the domain's distance and project give
+    each row of an (n, 4) call the bits of a one-row call on it, whatever
+    n: every built-in domain does (HalfSpace uses einsum, not a matmul, for
+    that reason).
+
+    The waves run on one thread per CPU in the process's affinity mask
+    (_WORKERS), the caller included; numpy releases the GIL inside its
+    array loops, so the threads overlap.  Each wave holds at most
+    _WAVE_WALKS // _WORKERS walks (at least one block), so at most
+    _WAVE_WALKS walks, or one block per thread, are in flight in all.  The
+    waves are merged in order, so the result is the same, bit for bit, for
+    any number of CPUs; the domain's distance may be called from several
+    threads at once, each call on its own rows.
     """
     if not _is_int(n_walks) or n_walks < 1:
         raise InvalidInputError(f"n_walks must be an integer >= 1, "
@@ -317,19 +383,22 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
 
     bs = config.block_size
     n_blocks = -(-n_walks // bs)
-    n_waves = -(-n_blocks // max(1, _WAVE_WALKS // bs))
-    waves = [_run_wave(domain, pole,
-                       [min(bs, n_walks - b * bs) for b in wave],
-                       [np.random.default_rng([seed, b]) for b in wave],
-                       c_weight, config.eps_shell, r_max, config.max_steps)
-             for wave in (w.tolist() for w in
-                          np.array_split(np.arange(n_blocks), n_waves))]
-    contrib = np.concatenate([w[0] for w in waves])
+    n_waves = -(-n_blocks // max(1, _WAVE_WALKS // _WORKERS // bs))
+    waves = [w.tolist() for w in np.array_split(np.arange(n_blocks), n_waves)]
+
+    def run(wave):
+        return _run_wave(domain, pole,
+                         [min(bs, n_walks - b * bs) for b in wave],
+                         [np.random.default_rng([seed, b]) for b in wave],
+                         c_weight, config.eps_shell, r_max, config.max_steps)
+
+    results = _map_waves(run, waves)
+    contrib = np.concatenate([w[0] for w in results])
     lam = -float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
     return RobinEstimate(lambda_hat=lam, stderr=se, n_walks=n_walks,
-                         truncated_walks=sum(w[1] for w in waves),
-                         escaped_walks=sum(w[2] for w in waves),
+                         truncated_walks=sum(w[1] for w in results),
+                         escaped_walks=sum(w[2] for w in results),
                          seed=seed, c_weight=c_weight, r_max=r_max)
 
 

@@ -321,6 +321,15 @@ class TestRealPoly2:
         assert np.array_equal(RealPoly2({}).eval(x, y), np.zeros((4, 3)))
         assert poly(np.asarray(0.5 - 1j)).shape == ()
 
+    def test_zero_polynomial_gives_float_zeros(self):
+        zero = RealPoly2({})
+        for v in (zero.eval(0.3, 0.2), zero(0.3 + 0.2j), zero.eval(0, 0)):
+            assert type(v) is float and v == 0.0
+        out = zero(np.array([0.3 + 0.2j, -1.0 + 0j]))
+        assert out.dtype == float and np.array_equal(out, np.zeros(2))
+        # a zero d/dy keeps the +0 imaginary part of the derivative
+        assert repr(RealPoly2({(2, 0): 1.0}).wirtinger_z(-1.0)) == "(-1+0j)"
+
     def test_calculus_on_arrays(self):
         model = BoundaryModel(p=(RealPoly2({(2, 0): 1.0, (0, 2): -2.0,
                                              (3, 1): 0.7}),

@@ -1,6 +1,8 @@
 """Tests for the walk-on-spheres Robin estimator and its oracles."""
 
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -312,6 +314,72 @@ class TestWaveKernel:
     def test_numpy_integers_accepted(self):
         est = robin_constant(HS, E, np.int64(100), np.int64(3))
         assert est == robin_constant(HS, E, 100, 3)
+
+
+class TestThreadedWaves:
+    """robin_constant runs its waves on robin._WORKERS threads; the estimate
+    must not depend on how many."""
+
+    # waves of 4, 2 and 1 blocks of 1,024 walks for 1, 2 and 3 workers: 5
+    # blocks make 2, 3 and 5 waves
+    @pytest.mark.parametrize("domain, seed, c, cfg", [
+        (HS, 3, 0.0, WosConfig(block_size=1024)),
+        (PLANE, 4, 0.0, WosConfig(block_size=1024)),
+        (OFF_BALL, 5, 0.0, WosConfig(block_size=1024)),
+        (HS, 1, 0.5, WosConfig(block_size=1024)),
+        (HS, 0, 0.0, WosConfig(block_size=1024, max_steps=5)),
+        (HS, 7, 0.0, WosConfig(block_size=1024, r_max_factor=3.0))])
+    def test_same_estimate_for_any_worker_count(self, monkeypatch, domain,
+                                                seed, c, cfg):
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 4096)
+        ests = []
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(robin, "_WORKERS", workers)
+            ests.append(TestWaveKernel.check(domain, E, 4097, seed, c, cfg))
+        assert ests[0] == ests[1] == ests[2]
+        if cfg.max_steps == 5:
+            assert ests[0].truncated_walks > 0
+        if cfg.r_max_factor == 3.0:
+            assert ests[0].escaped_walks > 0
+
+    def test_more_threads_than_cores_take_each_wave_once(self, monkeypatch):
+        # a lost or repeated queue index would drop or rerun a wave
+        monkeypatch.setattr(robin, "_WORKERS", 8)
+        taken = []
+
+        def run(i):
+            taken.append(i)
+            return i * i
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = robin._map_waves(run, list(range(2000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert out == [i * i for i in range(2000)]
+        assert sorted(taken) == list(range(2000))
+
+    def test_failing_helper_is_raised_after_every_join(self, monkeypatch):
+        monkeypatch.setattr(robin, "_WORKERS", 2)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 2048)
+        helper_failed = threading.Event()
+
+        def dist(x):
+            if len(x) > 1 and (x == E).all():  # the first call of a wave
+                if threading.current_thread() is threading.main_thread():
+                    helper_failed.wait(timeout=30)
+                else:
+                    helper_failed.set()
+                    raise EvaluationError("a helper's wave failed")
+            return HS.distance(x)
+
+        before = threading.active_count()
+        with pytest.raises(EvaluationError, match="helper's wave failed"):
+            robin_constant(GenericSolvable(dist), E, 8192, 0,
+                           config=WosConfig(block_size=1024))
+        assert helper_failed.is_set()
+        assert threading.active_count() == before
 
 
 class TestWosInputValidation:
