@@ -28,19 +28,19 @@ certified for centered balls only, against the closed form
 qualitative, the one qualitative estimate left in this module.
 
 Walks run in blocks that own their random streams, stepped together in
-waves.  One robin_constant call runs its waves on one thread per CPU in the
-process's affinity mask, the caller included, with at most 32,768 walks in
-flight across all threads (or one block per thread, if blocks are larger);
-the estimate is the same, bit for bit, for any number of CPUs.
+waves.  For the built-in domain types, one robin_constant call runs its
+waves on one thread per CPU in the process's affinity mask, at most 2, with
+at most 32,768 walks in flight across all threads (or one block per thread,
+if blocks are larger); the estimate is the same, bit for bit, for any
+number of CPUs.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 import numbers
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
@@ -220,12 +220,19 @@ def _norm(v: np.ndarray) -> np.ndarray:
 _WAVE_WALKS = 32768
 
 
-# threads that step the waves of one robin_constant call, the caller
-# included: one per CPU in the process's affinity mask
 try:
-    _WORKERS = len(os.sched_getaffinity(0))
+    _CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
-    _WORKERS = os.cpu_count() or 1
+    _CPUS = os.cpu_count() or 1
+# threads that step the waves of one robin_constant call: one per CPU in the
+# process's affinity mask, but at most 2, the most whose speed and memory
+# have been measured
+_WORKERS = min(2, _CPUS)
+
+# domain types whose distance and project may run on several threads at
+# once; any other domain object (a wrapper that keeps state between calls,
+# say) has all its waves stepped on the calling thread
+_THREADED_DOMAINS = (Ball, HalfSpace, GenericSolvable)
 
 
 def _escape_reach(pole, r_max, max_steps):
@@ -302,42 +309,18 @@ def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
                      max_steps)
 
 
-def _map_waves(run, waves: list) -> list:
-    """[run(w) for w in waves], computed on up to _WORKERS threads.
+def _map_waves(run, waves: list, workers: int) -> list:
+    """[run(w) for w in waves], on up to `workers` threads.
 
-    The caller and min(_WORKERS, len(waves)) - 1 helper threads run one loop:
-    take the next wave index from a shared counter, run it, and store the
-    result under that index.  The first exception in any thread stops
-    further waves from being taken and is raised here once every helper
-    has been joined, so no thread outlives the call.
+    With one worker or one wave no thread starts.  Otherwise the results
+    still come back in wave order; the exception of the first failing wave
+    is raised after the waves not yet started are cancelled and the running
+    ones joined, so no thread outlives the call.
     """
-    n_waves = len(waves)
-    results = [None] * n_waves
-    queue = itertools.count()
-    failures = []
-
-    def drain():
-        try:
-            for i in queue:
-                if i >= n_waves or failures:
-                    return
-                results[i] = run(waves[i])
-        except BaseException as exc:  # re-raised by the caller
-            failures.append(exc)
-
-    helpers = [threading.Thread(target=drain, daemon=True)
-               for _ in range(min(_WORKERS, n_waves) - 1)]
-    try:
-        for t in helpers:
-            t.start()
-        drain()
-    finally:
-        failures.append(None)  # stops the helpers if the caller was cut short
-        for t in helpers:
-            t.join()
-    if failures[0] is not None:
-        raise failures[0]
-    return results
+    if min(workers, len(waves)) == 1:
+        return [run(w) for w in waves]
+    with ThreadPoolExecutor(min(workers, len(waves))) as pool:
+        return list(pool.map(run, waves))
 
 
 def robin_constant(domain, pole, n_walks: int, seed: int,
@@ -355,14 +338,15 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     n: every built-in domain does (HalfSpace uses einsum, not a matmul, for
     that reason).
 
-    The waves run on one thread per CPU in the process's affinity mask
-    (_WORKERS), the caller included; numpy releases the GIL inside its
-    array loops, so the threads overlap.  Each wave holds at most
-    _WAVE_WALKS // _WORKERS walks (at least one block), so at most
-    _WAVE_WALKS walks, or one block per thread, are in flight in all.  The
+    A domain whose type is Ball, HalfSpace or GenericSolvable (not a
+    subclass) has its waves run on _WORKERS threads, one per CPU in the
+    process's affinity mask and at most 2; numpy releases the GIL inside
+    its array loops, so the threads overlap.  Any other domain object runs
+    on the calling thread alone.  Each wave holds at most
+    _WAVE_WALKS // workers walks or one block, whichever is more, so at
+    most max(_WAVE_WALKS, workers * block_size) walks are in flight.  The
     waves are merged in order, so the result is the same, bit for bit, for
-    any number of CPUs; the domain's distance may be called from several
-    threads at once, each call on its own rows.
+    any number of threads.
     """
     if not _is_int(n_walks) or n_walks < 1:
         raise InvalidInputError(f"n_walks must be an integer >= 1, "
@@ -383,7 +367,8 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
 
     bs = config.block_size
     n_blocks = -(-n_walks // bs)
-    n_waves = -(-n_blocks // max(1, _WAVE_WALKS // _WORKERS // bs))
+    workers = _WORKERS if type(domain) in _THREADED_DOMAINS else 1
+    n_waves = -(-n_blocks // max(1, _WAVE_WALKS // workers // bs))
     waves = [w.tolist() for w in np.array_split(np.arange(n_blocks), n_waves)]
 
     def run(wave):
@@ -392,7 +377,7 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
                          [np.random.default_rng([seed, b]) for b in wave],
                          c_weight, config.eps_shell, r_max, config.max_steps)
 
-    results = _map_waves(run, waves)
+    results = _map_waves(run, waves, workers)
     contrib = np.concatenate([w[0] for w in results])
     lam = -float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0

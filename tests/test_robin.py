@@ -1,8 +1,8 @@
 """Tests for the walk-on-spheres Robin estimator and its oracles."""
 
 import math
-import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -342,44 +342,97 @@ class TestThreadedWaves:
         if cfg.r_max_factor == 3.0:
             assert ests[0].escaped_walks > 0
 
-    def test_more_threads_than_cores_take_each_wave_once(self, monkeypatch):
-        # a lost or repeated queue index would drop or rerun a wave
-        monkeypatch.setattr(robin, "_WORKERS", 8)
-        taken = []
+    def test_waves_come_back_in_order(self):
+        # later waves finish first; at most 3 run at once
+        running, most = [], []
 
         def run(i):
-            taken.append(i)
+            running.append(i)
+            most.append(len(running))
+            time.sleep(0.002 * (20 - i))
+            running.remove(i)
             return i * i
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = robin._map_waves(run, list(range(2000)))
-        finally:
-            sys.setswitchinterval(interval)
-        assert out == [i * i for i in range(2000)]
-        assert sorted(taken) == list(range(2000))
+        assert robin._map_waves(run, list(range(20)), 3) == [
+            i * i for i in range(20)]
+        assert max(most) <= 3
 
-    def test_failing_helper_is_raised_after_every_join(self, monkeypatch):
+    def test_one_worker_starts_no_thread(self):
+        threads = set()
+
+        def run(i):
+            threads.add(threading.get_ident())
+            return i
+
+        assert robin._map_waves(run, [0, 1, 2], 1) == [0, 1, 2]
+        assert robin._map_waves(run, [0], 4) == [0]
+        assert threads == {threading.get_ident()}
+
+    def test_other_domain_types_step_on_the_calling_thread(self,
+                                                           monkeypatch):
+        # a wrapper may keep state between calls, as CountingDomain does
         monkeypatch.setattr(robin, "_WORKERS", 2)
         monkeypatch.setattr(robin, "_WAVE_WALKS", 2048)
-        helper_failed = threading.Event()
+        threads = set()
+
+        class Wrapped(CountingDomain):
+            def distance(self, x):
+                threads.add(threading.get_ident())
+                return super().distance(x)
+
+        cfg = WosConfig(block_size=1024)
+        est = robin_constant(Wrapped(HS), E, 4097, 3, config=cfg)
+        assert threads == {threading.get_ident()}
+        assert est == robin_constant(HS, E, 4097, 3, config=cfg)
+
+    @staticmethod
+    def failing_last_wave(delay):
+        """A half-space whose distance fails, after `delay` seconds, at the
+        start of the last wave (the only one of 5 walks) when that wave runs
+        off the calling thread."""
+        caller = threading.get_ident()
 
         def dist(x):
-            if len(x) > 1 and (x == E).all():  # the first call of a wave
-                if threading.current_thread() is threading.main_thread():
-                    helper_failed.wait(timeout=30)
-                else:
-                    helper_failed.set()
-                    raise EvaluationError("a helper's wave failed")
+            if (len(x) == 5 and (x == E).all()
+                    and threading.get_ident() != caller):
+                time.sleep(delay)
+                raise EvaluationError("the last wave failed")
             return HS.distance(x)
 
+        return GenericSolvable(dist)
+
+    # waves of one block of 1,024 walks: 2,053 walks make three waves
+    @pytest.mark.parametrize("delay", [0.0, 0.3])
+    def test_failing_wave_is_raised_after_every_join(self, monkeypatch,
+                                                     delay):
+        # with the delay the other waves finish before a helper thread's
+        # last wave fails
+        monkeypatch.setattr(robin, "_WORKERS", 2)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 2048)
         before = threading.active_count()
-        with pytest.raises(EvaluationError, match="helper's wave failed"):
-            robin_constant(GenericSolvable(dist), E, 8192, 0,
+        with pytest.raises(EvaluationError, match="the last wave failed"):
+            robin_constant(self.failing_last_wave(delay), E, 2053, 0,
                            config=WosConfig(block_size=1024))
-        assert helper_failed.is_set()
         assert threading.active_count() == before
+
+    def test_first_failing_wave_stops_the_rest(self):
+        started = []
+
+        def run(i):
+            started.append(i)
+            if i == 0:
+                time.sleep(0.05)
+                raise EvaluationError("wave 0")
+            if i == 1:
+                raise EvaluationError("wave 1")
+            time.sleep(0.05)
+            return i
+
+        before = threading.active_count()
+        with pytest.raises(EvaluationError, match="wave 0"):
+            robin._map_waves(run, list(range(100)), 2)
+        assert threading.active_count() == before
+        assert len(started) < 10
 
 
 class TestWosInputValidation:
