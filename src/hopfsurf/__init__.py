@@ -16,7 +16,7 @@ from .invariants import (Declared, HopfParams, InvariantSet, Numeric,
                          roots_of_unity)
 from .quotient import (HopfPoint, LevelResidual, equivalent, leaf_equivalent,
                        level_membership, reduce_point, reduce_points, u_value)
-from .flows import (ClosureClass, EvidenceConfig, FiberSet, VectorField,
+from .flows import (ClosureClass, FiberSet, VectorField,
                     classify_orbit_closure, fiber_set, flow_point,
                     is_unit_proportional, orbit_reduce_samples,
                     star_discrepancy, unit_field)

@@ -18,9 +18,10 @@ end adds that end's coordinate torus.  Each kind is a DomainSpec subclass
 holding all of its rules: a new kind implements residual(z, w, params, inv)
 on the reduced representative and classify(inv), its table row, and may
 override smooth_residual(point, params, inv), the branch Levi scans
-difference (default: the reducing evaluator), translate(anchor, params, inv)
-(default: a GenericTranslate) and boundary_point(z, params, inv, rng)
-(default: bisection along |w|).
+difference (default: its own residual at the unreduced point; the level
+kinds override it to pick one branch of their max), translate(anchor,
+params, inv) (default: a GenericTranslate) and boundary_point(z, params,
+inv, rng) (default: bisection along |w|).
 
 Translation moves a domain to a reference frame centered at an anchor point
 (coordinatewise division), which turns the Nemirovskii family into a
@@ -100,10 +101,10 @@ class DomainSpec:
     """Base of the domain kinds; the module docstring lists its methods."""
 
     def smooth_residual(self, point, params, inv=None) -> Callable:
-        """A locally smooth defining function matching the spec near point
-        (the reducing evaluator jumps across the shell faces)."""
-        return lambda zz, ww: evaluate_domain(self, (zz, ww), params,
-                                              inv).residual
+        """A locally smooth defining function matching the spec near point:
+        the residual at the unreduced point (reducing would jump across the
+        shell faces)."""
+        return lambda zz, ww: self.residual(zz, ww, params, inv)
 
     def translate(self, anchor, params, inv) -> TranslatedDomain:
         z0, w0 = complex(anchor[0]), complex(anchor[1])
@@ -295,9 +296,6 @@ class Nemirovskii(DomainSpec):
         _require_real_b(params)
         return self.A * w.real + self.B * w.imag
 
-    def smooth_residual(self, point, params, inv=None):
-        return lambda zz, ww: self.A * ww.real + self.B * ww.imag
-
     def translate(self, anchor, params, inv):
         # an inside anchor has w != 0, since the residual vanishes there
         rp = reduce_point(anchor, params)
@@ -324,9 +322,6 @@ class ImplicitDomain(DomainSpec):
 
     def residual(self, z, w, params, inv):
         return float(self.psi(z, w))
-
-    def smooth_residual(self, point, params, inv=None):
-        return self.psi
 
     def classify(self, inv):
         return ClassificationResult(
@@ -416,7 +411,8 @@ class TranslatedDomain:
     theta: Optional[float] = None  # angular offset, half-plane kinds only
 
     def wos_domain(self):
-        raise EvaluationError(f"no walk-on-spheres adapter for {self!r}")
+        raise EvaluationError("no walk-on-spheres adapter for "
+                              f"{type(self).__name__}")
 
     def seed_key(self) -> Optional[tuple]:
         """Floats that identify the domain for walk sub-seeding, or None."""

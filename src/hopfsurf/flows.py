@@ -31,6 +31,12 @@ PROPORTIONALITY_TOL = 1e-10
 _DEDUP_TOL = 1e-12
 _EXP_CLIP = 700.0  # beyond this the float value over/underflows
 _FIRST_BLOCK = 64  # first fiber block, and the margin of later ones
+# Budget of the numerical evidence attached to a closure class.
+_EVIDENCE_FIBER = 2048
+_EVIDENCE_Z_PRIME = 1.5 + 0j
+_ORBIT_SAMPLES = 64
+_ORBIT_T_MAX = 4.0
+_DECAY_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -50,13 +56,12 @@ def unit_field(params: HopfParams) -> VectorField:
     return VectorField(params.principal_log_a(), params.principal_log_b())
 
 
-def is_unit_proportional(X: VectorField, params: HopfParams,
-                         tol: float = PROPORTIONALITY_TOL) -> bool:
+def is_unit_proportional(X: VectorField, params: HopfParams) -> bool:
     """Scale-free test of X in C * X_u."""
     la = params.principal_log_a()
     lb = params.principal_log_b()
-    return abs(X.alpha * lb - X.beta * la) <= tol * max(abs(X.alpha),
-                                                        abs(X.beta))
+    return (abs(X.alpha * lb - X.beta * la)
+            <= PROPORTIONALITY_TOL * max(abs(X.alpha), abs(X.beta)))
 
 
 def flow_point(X: VectorField, start: tuple[complex, complex],
@@ -269,17 +274,6 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
 
 
 @dataclass(frozen=True)
-class EvidenceConfig:
-    """Budget knobs for the numerical evidence attached to a closure class."""
-
-    n_fiber: int = 2048
-    z_prime: complex = 1.5 + 0j
-    n_orbit: int = 64
-    t_max: float = 4.0
-    decay_steps: int = 40
-
-
-@dataclass(frozen=True)
 class ClosureClass:
     tag: str
     sheets: Optional[int] = None
@@ -287,9 +281,7 @@ class ClosureClass:
 
 
 def classify_orbit_closure(X: VectorField, params: HopfParams,
-                           inv: InvariantSet,
-                           evidence: EvidenceConfig = EvidenceConfig()
-                           ) -> ClosureClass:
+                           inv: InvariantSet) -> ClosureClass:
     """Classify the closure of the X-orbit through (1, 1) in the quotient.
 
     The class is decided symbolically from (alpha, beta) and the rationality
@@ -299,21 +291,21 @@ def classify_orbit_closure(X: VectorField, params: HopfParams,
 
     if beta == 0:
         # Horizontal flow: accumulates on the w = 0 torus only.
-        ts = [k * params.log_abs_a / alpha for k in range(evidence.decay_steps + 1)]
+        ts = [k * params.log_abs_a / alpha for k in range(_DECAY_STEPS + 1)]
         pts = orbit_reduce_samples(X, (1.0 + 0j, 1.0 + 0j), ts, params)
         decay = [abs(p.rep_w) for p in pts]
         return ClosureClass(tag="ContainsTaOnly",
                             diagnostics={"reduced_w_decay": decay,
                                          "final_reduced_w": decay[-1]})
     if alpha == 0:
-        ts = [k * params.log_abs_b / beta for k in range(evidence.decay_steps + 1)]
+        ts = [k * params.log_abs_b / beta for k in range(_DECAY_STEPS + 1)]
         pts = orbit_reduce_samples(X, (1.0 + 0j, 1.0 + 0j), ts, params)
         decay = [abs(p.rep_z) for p in pts]
         return ClosureClass(tag="ContainsTbOnly",
                             diagnostics={"reduced_z_decay": decay,
                                          "final_reduced_z": decay[-1]})
 
-    fib = fiber_set(X, evidence.z_prime, inv, evidence.n_fiber)
+    fib = fiber_set(X, _EVIDENCE_Z_PRIME, inv, _EVIDENCE_FIBER)
     if is_unit_proportional(X, params):
         if inv.case_tag == "CaseB2":
             return ClosureClass(tag="CompactTorus", sheets=inv.nu,
@@ -321,7 +313,7 @@ def classify_orbit_closure(X: VectorField, params: HopfParams,
                                              "nu": inv.nu})
         # Levi-flat hypersurface: the orbit stays on one modulus level and
         # its fiber phases equidistribute.
-        ts = np.linspace(-evidence.t_max, evidence.t_max, evidence.n_orbit)
+        ts = np.linspace(-_ORBIT_T_MAX, _ORBIT_T_MAX, _ORBIT_SAMPLES)
         resid = 0.0
         for t in ts:
             z, w = flow_point(X, (1.0 + 0j, 1.0 + 0j), complex(t))

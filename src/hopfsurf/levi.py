@@ -152,7 +152,7 @@ class ScanReport:
 
 def pseudoconvexity_scan(spec, n_samples: int, tol: float,
                          params: HopfParams, seed: int,
-                         inv=None, h: float = 4e-4) -> ScanReport:
+                         inv=None) -> ScanReport:
     """Numeric Levi values of the boundary residual at sampled boundary points.
 
     InvalidInputError for n_samples < 1 or a tol that is negative or not
@@ -168,7 +168,7 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
     bad = []
     for pt in pts:
         psi = spec.smooth_residual(pt, params, inv)
-        lv = levi_form(numeric_jet(psi, pt, h=h))
+        lv = levi_form(numeric_jet(psi, pt))
         vals.append(lv)
         if lv < -tol:
             bad.append((pt, lv))
@@ -200,13 +200,6 @@ class BoundaryModel:
 
     def coeff(self, i: int) -> RealPoly2:
         return self.p[i] if i < len(self.p) else ZERO
-
-    def psi(self, z: complex, w: complex) -> float:
-        u, v = complex(w).real, complex(w).imag
-        acc = v
-        for i, q in enumerate(self.p):
-            acc += q(z) * u**i
-        return acc
 
     def arc_v(self, z: complex, u: float) -> float:
         """The v-value of the boundary graph over (z, u)."""

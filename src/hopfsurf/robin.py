@@ -41,7 +41,7 @@ import math
 import numbers
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -303,12 +303,6 @@ def _run_wave(domain, pole, sizes, rngs, c_weight, eps, r_max, max_steps):
     return contrib, len(idx), escaped
 
 
-def _run_block(domain, pole, nb, rng, c_weight, eps, r_max, max_steps):
-    """Run nb walks from the pole: a wave of one block."""
-    return _run_wave(domain, pole, [nb], [rng], c_weight, eps, r_max,
-                     max_steps)
-
-
 def _map_waves(run, waves: list, workers: int) -> list:
     """[run(w) for w in waves], on up to `workers` threads.
 
@@ -432,7 +426,6 @@ def product_half_plane_oracle(theta: float) -> float:
 class ExperimentBudget:
     n_walks: int = 20000
     seed: int = 0
-    config: WosConfig = field(default_factory=WosConfig)
 
 
 @dataclass(frozen=True)
@@ -479,10 +472,11 @@ def boundary_behavior_experiment(spec, anchors: Sequence, params,
     rows = []
     for j, anchor in enumerate(anchors):
         td = _domains.translate_domain(spec, anchor, params, inv)
-        lo, hi = _domains.distance_to_identity(td)
+        # a kind without an adapter fails before the costly distance search
         solvable = solvable_from_translate(td)
+        lo, hi = _domains.distance_to_identity(td)
         est = robin_constant(solvable, identity_point(), budget.n_walks,
-                             _sub_seed(budget.seed, j), config=budget.config)
+                             _sub_seed(budget.seed, j))
         rows.append(BoundaryRow(
             anchor_z=complex(anchor[0]), anchor_w=complex(anchor[1]),
             theta=td.theta, dist_lower=lo, dist_upper=hi,
@@ -520,10 +514,9 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
         res = _domains.evaluate_domain(spec, pt, params, inv)
         if not res.inside:
             raise EvaluationError(f"line point {pt} leaves the domain")
-        td = _domains.translate_domain(spec, pt, params, inv)
+        td = spec.translate(pt, params, inv)
         est = robin_constant(solvable_from_translate(td), identity_point(),
-                             budget.n_walks, _domain_seed(budget.seed, td),
-                             config=budget.config)
+                             budget.n_walks, _domain_seed(budget.seed, td))
         return -est.lambda_hat, est.stderr
 
     center, se_c = value_at((z0, w0))

@@ -108,6 +108,12 @@ class TestPseudoconvexityScan:
         assert rep.pseudoconvex_at_samples
         assert rep.min_levi == rep.max_levi == 0.0
 
+    def test_nemirovskii_needs_a_real_second_multiplier(self):
+        # the scanned residual is the kind's own, with its precondition
+        with pytest.raises(PreconditionError, match="real second multiplier"):
+            pseudoconvexity_scan(Nemirovskii(1.0, 0.0), 5, 1e-6,
+                                 HopfParams(2 + 0j, 4 + 1j), 7)
+
     def test_detects_non_pseudoconvex_surface(self):
         from hopfsurf.domains import ImplicitDomain
         spec = ImplicitDomain(psi=lambda z, w: w.real - abs(z) ** 2)

@@ -1,7 +1,8 @@
 """Property tests for fundamental-shell reduction over the whole float range,
 for array evaluation of RealPoly2, for the walk-on-spheres distances and
-for the array fiber enumeration against its scalar reference, and for the
-reduce_point fast path against its window-loop reference.
+for the array fiber enumeration against its scalar reference, for the
+reduce_point fast path against its window-loop reference, and for the
+smooth residuals that Levi scans difference.
 
 Points are drawn with log-moduli from the smallest subnormal up to DBL_MAX,
 either as (log-modulus, phase) pairs or as raw float components, which also
@@ -23,7 +24,8 @@ from fiber_reference import fiber_bits, reference_fiber_set
 from quotient_reference import point_bits, reference_reduce_point
 
 from hopfsurf.cli import main
-from hopfsurf.domains import (LevelBand, ModulusRegion, SubLevel, SuperLevel,
+from hopfsurf.domains import (ImplicitDomain, LevelBand, ModulusRegion,
+                              Nemirovskii, SubLevel, SuperLevel,
                               translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.flows import VectorField, fiber_set, unit_field
@@ -453,3 +455,21 @@ def test_fiber_set_matches_scalar_reference(case, N):
     X, inv, z_prime = case
     assert (fiber_bits(fiber_set(X, z_prime, inv, N))
             == fiber_bits(reference_fiber_set(X, z_prime, inv, N)))
+
+
+@PROPERTY
+@given(A=st.floats(0.0, 1.0), B=st.floats(-1.0, 1.0), z=coordinates(),
+       w=coordinates(), pt=st.tuples(coordinates(), coordinates()))
+def test_smooth_residual_is_the_kind_formula(A, B, z, w, pt):
+    assume(A > 0.0 or B > 0.0)
+    params = HopfParams(2 + 0j, 4 + 0j)
+    spec = Nemirovskii(A, B)
+    got = spec.smooth_residual(pt, params)(z, w)
+    assert _bits(got) == _bits(spec.A * w.real + spec.B * w.imag)
+
+    def psi(zz, ww):
+        return np.float64(A) * ww.real - B * abs(zz)
+
+    got = ImplicitDomain(psi).smooth_residual(pt, params)(z, w)
+    assert type(got) is float
+    assert _bits(got) == _bits(float(psi(z, w)))

@@ -8,13 +8,14 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from hopfsurf.domains import (LevelBand, Nemirovskii, SubLevel, SuperLevel,
-                              distance_to_identity, translate_domain)
+from hopfsurf.domains import (ImplicitDomain, LevelBand, Nemirovskii,
+                              SubLevel, SuperLevel, distance_to_identity,
+                              translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
-from hopfsurf import robin
+from hopfsurf import domains, robin
 from hopfsurf.robin import (Ball, ExperimentBudget, GenericSolvable,
-                            HalfSpace, WosConfig, _escape_reach, _run_block,
+                            HalfSpace, WosConfig, _escape_reach, _run_wave,
                             _survival_factor, ball_oracle,
                             boundary_behavior_experiment,
                             half_space_from_theta, half_space_oracle,
@@ -108,9 +109,9 @@ class TestRobinConstant:
         n, seed = 20_000, 777
         r_max = cfg.r_max_factor * float(hs.distance(E[None])[0])
         starts = range(0, n, cfg.block_size)
-        merged = {b: _run_block(hs, E, min(cfg.block_size, n - lo),
-                                np.random.default_rng([seed, b]), 0.0,
-                                cfg.eps_shell, r_max, cfg.max_steps)[0]
+        merged = {b: _run_wave(hs, E, [min(cfg.block_size, n - lo)],
+                               [np.random.default_rng([seed, b])], 0.0,
+                               cfg.eps_shell, r_max, cfg.max_steps)[0]
                   for b, lo in reversed(list(enumerate(starts)))}
         contrib = np.concatenate([merged[b] for b in range(len(starts))])
         assert robin_constant(hs, E, n, seed).lambda_hat \
@@ -158,9 +159,9 @@ def masked_block(domain, nb, rng, eps, r_max, c=0.0, pole=E,
                  max_steps=None):
     """Reference block kernel: full-size arrays and an alive mask.
 
-    Draws the same stream as _run_block (directions for the live walks, in
-    walk order), tests every live walk for escape and counts each walk's
-    distance evaluations.  Returns (contrib, steps, truncated, escaped).
+    Draws the same stream as a one-block _run_wave (directions for the live
+    walks, in walk order), tests every live walk for escape and counts each
+    walk's distance evaluations.  Returns (contrib, steps, truncated, escaped).
     """
     pos = np.tile(pole, (nb, 1))
     weight = np.ones(nb)
@@ -210,8 +211,8 @@ class TestLiveWalkCompaction:
         for b, lo in enumerate(range(0, n, cfg.block_size)):
             nb = min(cfg.block_size, n - lo)
             dom = CountingDomain(hs)
-            contrib, truncated, _ = _run_block(
-                dom, E, nb, np.random.default_rng([seed, b]), 0.0,
+            contrib, truncated, _ = _run_wave(
+                dom, E, [nb], [np.random.default_rng([seed, b])], 0.0,
                 cfg.eps_shell, r_max, cfg.max_steps)
             ref, ref_steps, _, _ = masked_block(hs, nb, np.random.default_rng(
                 [seed, b]), cfg.eps_shell, r_max)
@@ -227,8 +228,8 @@ class TestLiveWalkCompaction:
 
     def test_screened_block_matches_masked_reference(self):
         hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
-        contrib, _, _ = _run_block(hs, E, 4096, np.random.default_rng(3),
-                                   0.5, 1e-4, 1e3, 20000)
+        contrib, _, _ = _run_wave(hs, E, [4096], [np.random.default_rng(3)],
+                                  0.5, 1e-4, 1e3, 20000)
         ref, _, _, _ = masked_block(hs, 4096, np.random.default_rng(3), 1e-4,
                                     1e3, c=0.5)
         assert np.array_equal(contrib, ref)
@@ -510,6 +511,22 @@ class TestBoundaryExperiment:
             oracle = product_half_plane_oracle(th)
             assert abs(row.lambda_hat - oracle) < 3 * row.stderr + 1e-9
 
+    def test_implicit_anchor_fails_before_the_distance_search(self):
+        # the anchor check evaluates psi once; the 64-ray distance search
+        # of a generic translate would evaluate it thousands of times
+        calls = []
+
+        def psi(z, w):
+            calls.append((z, w))
+            return abs(w) - 10.0
+
+        msg = "^no walk-on-spheres adapter for GenericTranslate$"
+        with pytest.raises(EvaluationError, match=msg):
+            boundary_behavior_experiment(
+                ImplicitDomain(psi), [(1 + 0j, 1 + 0j)], P24, inv=INV24,
+                budget=ExperimentBudget(n_walks=100, seed=5))
+        assert len(calls) <= 1
+
 
 class TestPshSpotCheck:
     def test_nemirovskii_proxy_is_consistent(self):
@@ -535,6 +552,26 @@ class TestPshSpotCheck:
                              3, P24, inv=INV24,
                              budget=ExperimentBudget(n_walks=500, seed=5))
         assert rep.residual == 0.0
+
+    def test_each_line_point_is_evaluated_once(self, monkeypatch):
+        calls = []
+        evaluate = domains.evaluate_domain
+
+        def counting(spec, pt, *args):
+            calls.append(pt)
+            return evaluate(spec, pt, *args)
+
+        monkeypatch.setattr(domains, "evaluate_domain", counting)
+        psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
+                       (0.3 + 0.1j, 0.2 - 0.4j), 0.05, 4, P24, inv=INV24,
+                       budget=ExperimentBudget(n_walks=100, seed=5))
+        assert len(calls) == 4 + 1
+
+    def test_line_point_outside_is_named(self):
+        with pytest.raises(EvaluationError, match="leaves the domain"):
+            psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
+                           (0j, 1 + 0j), 2.0, 3, P24, inv=INV24,
+                           budget=ExperimentBudget(n_walks=100, seed=5))
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_disk_radius_rejected(self, radius):
