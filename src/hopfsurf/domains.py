@@ -134,7 +134,8 @@ class DomainSpec:
 
 def _check_spec(spec) -> None:
     if not isinstance(spec, DomainSpec):
-        raise InvalidInputError(f"unknown domain spec {spec!r}")
+        raise InvalidInputError(
+            f"unknown domain spec {type(spec).__name__}")
 
 
 class LevelUnion(DomainSpec):
@@ -563,7 +564,8 @@ def distance_to_identity(translated) -> tuple[float, float]:
     trivial lower bound 0.0.
     """
     if not isinstance(translated, TranslatedDomain):
-        raise InvalidInputError(f"unknown translated domain {translated!r}")
+        raise InvalidInputError(
+            f"unknown translated domain {type(translated).__name__}")
     return translated.distance_bounds()
 
 
@@ -650,7 +652,8 @@ def classify_domain(spec, inv: InvariantSet) -> ClassificationResult:
     """
     _check_spec(spec)
     if not isinstance(inv, InvariantSet):
-        raise InvalidInputError(f"not an invariant set: {inv!r}")
+        raise InvalidInputError(
+            f"not an invariant set: {type(inv).__name__}")
     return spec.classify(inv)
 
 

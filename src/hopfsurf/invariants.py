@@ -315,4 +315,4 @@ def derive_invariants(params: HopfParams, mode) -> InvariantSet:
         tau_rat = detect_rational(tau, mode.tol, mode.max_den)
         return _finish_rational_rho(params, rho, rho_rat, p, q, tau, tau_rat)
 
-    raise InvalidInputError(f"unknown mode {mode!r}")
+    raise InvalidInputError(f"unknown mode {type(mode).__name__}")

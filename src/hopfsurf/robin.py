@@ -25,7 +25,9 @@ A positive zeroth-order coefficient c (operator Laplacian minus c) is
 supported through per-step survival factors; the matching functional is
 certified for centered balls only, against the closed form
 -x / (2 I_1(x) R^2) with x = sqrt(c) R.  Off the centered ball it is
-qualitative, the one qualitative estimate left in this module.
+qualitative, the one qualitative estimate left in this module.  I_1 comes
+from scipy.special, imported on the first survival factor with some
+x >= 1e-6; c = 0 walks and oracles never load scipy.
 
 Walks run in blocks that own their random streams, stepped together in
 waves.  For the built-in domain types, one robin_constant call runs its
@@ -45,7 +47,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import i1 as _bessel_i1
 
 from .errors import EvaluationError, InvalidInputError, _require_nonneg
 from . import domains as _domains
@@ -142,7 +143,8 @@ def identity_point() -> np.ndarray:
 def solvable_from_translate(translated):
     """Adapt a translated domain to the walk-on-spheres interface."""
     if not isinstance(translated, _domains.TranslatedDomain):
-        raise EvaluationError(f"no walk-on-spheres adapter for {translated!r}")
+        raise EvaluationError("no walk-on-spheres adapter for "
+                              f"{type(translated).__name__}")
     return translated.wos_domain()
 
 
@@ -200,7 +202,10 @@ def _survival_factor(r: np.ndarray, c: float) -> np.ndarray:
     small = x < 1e-6
     out[small] = 1.0 - x[small] ** 2 / 8.0
     xs = x[~small]
-    out[~small] = xs / (2.0 * _bessel_i1(xs))
+    if xs.size:
+        # loaded here, not at import: c = 0 callers never need scipy
+        from scipy.special import i1
+        out[~small] = xs / (2.0 * i1(xs))
     return out
 
 

@@ -189,6 +189,35 @@ class TestDistanceToIdentity:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    def test_unscreened_paths_leave_scipy_out(self):
+        # only a screened (c > 0) survival factor needs scipy's I_1; the
+        # first one loads it, with the bits of the in-process value
+        import hopfsurf
+        from hopfsurf.robin import ball_oracle
+        src = os.path.dirname(os.path.dirname(hopfsurf.__file__))
+        code = "\n".join([
+            "import sys",
+            "import hopfsurf.cli as cli",
+            "from hopfsurf.robin import (HalfSpace, ball_oracle,",
+            "                            identity_point, robin_constant)",
+            "assert cli.main(['invariants', '--a-re', '2',",
+            "                 '--b-re', '4']) == 0",
+            "assert cli.main(['reduce', '--a-re', '2', '--b-re', '3',",
+            "                 '--z-re', '64', '--w-re', '121.5']) == 0",
+            # 10 blocks of 4,096 walks: 2 or 3 waves
+            "robin_constant(HalfSpace((0.0, 0.0, 1.0, 0.0), 0.0),",
+            "               identity_point(), 40_000, 3)",
+            "ball_oracle(1.0)",
+            "assert 'scipy' not in sys.modules, 'c = 0 loaded scipy'",
+            "value = ball_oracle(1.0, c=0.5)",
+            "assert 'scipy.special' in sys.modules",
+            "print(value.hex())",
+        ])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        assert out.stdout.splitlines()[-1] == ball_oracle(1.0, c=0.5).hex()
+
     def test_generic_translate_bracket(self):
         spec = Nemirovskii(1.0, 0.0)
         td = translate_domain(spec, (1 + 0j, -1 + 0j), P24, INV24)
@@ -382,6 +411,26 @@ class TestCoordinateTori:
 class TestNonSpecInput:
     """Objects that are not domain specs fail as input errors, which the CLI
     maps to exit code 2, never as AttributeError."""
+
+    def test_messages_name_the_type_not_the_object(self):
+        from hopfsurf.robin import solvable_from_translate
+
+        calls = [
+            (lambda bad: classify_domain(bad, INV23), InvalidInputError),
+            (lambda bad: classify_domain(LevelBand(0.5, 2.0), bad),
+             InvalidInputError),
+            (lambda bad: distance_to_identity(bad), InvalidInputError),
+            (lambda bad: solvable_from_translate(bad), EvaluationError),
+            (lambda bad: derive_invariants(P23, bad), InvalidInputError),
+        ]
+        for call, error in calls:
+            messages = set()
+            for bad in (lambda z: z, lambda z, w: w):
+                with pytest.raises(error) as err:
+                    call(bad)
+                messages.add(str(err.value))
+            assert len(messages) == 1
+            assert "0x" not in messages.pop()
 
     @pytest.mark.parametrize("bad", [object(), 3.0, None, "level-band"])
     def test_entry_points_raise_input_error(self, bad):

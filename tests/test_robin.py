@@ -1,6 +1,9 @@
 """Tests for the walk-on-spheres Robin estimator and its oracles."""
 
 import math
+import os
+import subprocess
+import sys
 import threading
 import time
 
@@ -342,6 +345,27 @@ class TestThreadedWaves:
             assert ests[0].truncated_walks > 0
         if cfg.r_max_factor == 3.0:
             assert ests[0].escaped_walks > 0
+
+    def test_first_screened_call_in_a_fresh_process(self, monkeypatch):
+        # the first c > 0 wave imports scipy's I_1, on whichever thread
+        # steps it; the estimate must not depend on the thread count
+        import hopfsurf
+        src = os.path.dirname(os.path.dirname(hopfsurf.__file__))
+        code = "\n".join([
+            "import sys",
+            "from hopfsurf.robin import HalfSpace, identity_point, "
+            "robin_constant",
+            "assert 'scipy' not in sys.modules",
+            "print(repr(robin_constant(HalfSpace((0.0, 0.0, 1.0, 0.0), 0.0),",
+            "                          identity_point(), 40_000, 11,",
+            "                          c_weight=0.5)))",
+        ])
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             check=True, capture_output=True, text=True)
+        monkeypatch.setattr(robin, "_WORKERS", 1)
+        est = robin_constant(HS, E, 40_000, 11, c_weight=0.5)
+        assert out.stdout.strip() == repr(est)
 
     def test_waves_come_back_in_order(self):
         # later waves finish first; at most 3 run at once
