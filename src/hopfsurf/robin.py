@@ -29,12 +29,13 @@ qualitative, the one qualitative estimate left in this module.  I_1 comes
 from scipy.special, imported on the first survival factor with some
 x >= 1e-6; c = 0 walks and oracles never load scipy.
 
-Walks run in blocks that own their random streams, stepped together in
-waves.  For the built-in domain types, one robin_constant call runs its
-waves on one thread per CPU in the process's affinity mask, at most 2, with
-at most 32,768 walks in flight across all threads (or one block per thread,
-if blocks are larger); the estimate is the same, bit for bit, for any
-number of CPUs.
+Walks run in blocks that own their random streams.  Each thread streams
+blocks through one live set: a block joins, its walks at the pole, whenever
+a whole block fits, and every step moves all live walks at once.  For the
+built-in domain types, one robin_constant call runs on one thread per CPU
+in the process's affinity mask, at most 2, with at most 32,768 walks in
+flight across all threads (or one block per thread, if blocks are larger);
+the estimate is the same, bit for bit, for any number of CPUs.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -107,9 +108,12 @@ class HalfSpace:
         object.__setattr__(self, "normal", tuple(n / nn))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
-        # einsum, not a matmul: numpy rounds a one-row matmul (dot) unlike a
-        # many-row one (gemv), and each row must not depend on the row count
-        return np.einsum("...j,j->...", x, np.asarray(self.normal)) - self.offset
+        # a column sum in a written order, not a matmul or einsum: basic IEEE
+        # operations only, so no row count and no CPU's SIMD reduction order
+        # can change a row's bits
+        n0, n1, n2, n3 = self.normal
+        return ((x[..., 0] * n0 + x[..., 2] * n2)
+                + (x[..., 1] * n1 + x[..., 3] * n3) - self.offset)
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return x - self.distance(x)[..., None] * np.asarray(self.normal)
@@ -218,10 +222,9 @@ def _norm(v: np.ndarray) -> np.ndarray:
     return np.sqrt(n)
 
 
-# blocks are stepped together in waves; all the waves in flight hold at most
-# this many walks (each wave at least one block): long enough to amortize
-# numpy's per-call cost over the tail of a wave, short enough to keep the
-# working set small
+# each thread's live set holds at most this many walks divided by the thread
+# count (or one block, if blocks are larger): enough rows per step to amortize
+# numpy's per-call cost, few enough to keep the working set small
 _WAVE_WALKS = 32768
 
 
@@ -229,14 +232,14 @@ try:
     _CPUS = len(os.sched_getaffinity(0))
 except AttributeError:  # no affinity call on this platform
     _CPUS = os.cpu_count() or 1
-# threads that step the waves of one robin_constant call: one per CPU in the
+# threads that step the blocks of one robin_constant call: one per CPU in the
 # process's affinity mask, but at most 2, the most whose speed and memory
 # have been measured
 _WORKERS = min(2, _CPUS)
 
 # domain types whose distance and project may run on several threads at
 # once; any other domain object (a wrapper that keeps state between calls,
-# say) has all its waves stepped on the calling thread
+# say) has all its blocks stepped on the calling thread
 _THREADED_DOMAINS = (Ball, HalfSpace, GenericSolvable)
 
 
@@ -256,34 +259,60 @@ def _escape_reach(pole, r_max, max_steps):
     return r_max / 2.0 if drift < r_max / 4.0 else 0.0
 
 
-def _run_wave(domain, pole, sizes, rngs, c_weight, eps, r_max, max_steps):
-    """Run consecutive blocks of walks from the pole in lockstep.
+def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
+                 config):
+    """Step blocks of walks from the pole through one live set.
 
-    Block j has sizes[j] walks and draws from rngs[j]; each step draws its
-    live walks' directions, in walk order, into its slice of one buffer, so
-    every block sees exactly the stream it would see on its own.  Only live
-    walks are stepped; idx maps each live row to its walk number, and block
-    j holds rows cuts[j]:cuts[j + 1].  Returns (contrib, truncated, escaped).
+    `blocks` is an iterator of (lo, nb, rng): walks lo .. lo + nb - 1, whose
+    directions rng draws.  A block joins the live set, its walks at the
+    pole, whenever a whole block (config.block_size walks) fits under the
+    cap: `first` walks for the first fill, `cap` after.  Live rows stay in
+    walk order; idx maps each to its walk number.  Each step draws every
+    block's live walks' directions, in walk order, into its slice of one
+    buffer, so every block sees exactly the stream it would see on its own,
+    and a block's walks still live after config.max_steps steps of its own
+    are truncated.  Writes each ended walk's kernel to contrib[walk];
+    returns (truncated, escaped).
     """
-    n = sum(sizes)
-    starts = np.cumsum([0, *sizes[:-1]])
-    pos = np.tile(pole, (n, 1))
-    weight = np.ones(n)
-    travel = np.zeros(n)
-    idx = np.arange(n)
-    contrib = np.zeros(n)
-    dirs = np.empty((n, 4))
+    bs, eps, max_steps = config.block_size, config.eps_shell, config.max_steps
+    room = min(cap, len(contrib))
+    pos, dirs = np.empty((room, 4)), np.empty((room, 4))
+    weight, travel = np.empty(room), np.empty(room)
+    idx = np.empty(room, dtype=np.intp)
     reach = _escape_reach(pole, r_max, max_steps)
-    escaped = 0
-    for _ in range(max_steps):
-        d = domain.distance(pos)
+    live = []  # (lo, rng, step it is truncated at) per block, in walk order
+    m = t = truncated = escaped = 0
+    limit = first  # walks a fill may bring the live set to
+
+    def compact(keep):
+        for a in (pos, weight, travel, idx):
+            a[:len(keep)] = a.take(keep, axis=0)
+        return len(keep)
+
+    while True:
+        while m + bs <= limit:
+            blk = next(blocks, None)
+            if blk is None:  # none left: fill no more
+                cap = 0
+                break
+            lo, nb, rng = blk
+            pos[m:m + nb] = pole
+            weight[m:m + nb] = 1.0
+            travel[m:m + nb] = 0.0
+            idx[m:m + nb] = np.arange(lo, lo + nb)
+            live.append((lo, rng, t + max_steps))
+            m += nb
+        limit = cap
+        if not m:
+            return truncated, escaped
+        d = domain.distance(pos[:m])
         end = d <= eps
         hits = np.flatnonzero(end)
         if len(hits):
             r = _norm(domain.project(pos.take(hits, axis=0)) - pole)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
             contrib[idx.take(hits)] = weight.take(hits) * kernel(r)
-        far = np.flatnonzero(travel >= reach)
+        far = np.flatnonzero(travel[:m] >= reach)
         if len(far):
             far = far.compress(~end.take(far))
             far = far.compress(_norm(pos.take(far, axis=0) - pole) >= r_max)
@@ -291,35 +320,29 @@ def _run_wave(domain, pole, sizes, rngs, c_weight, eps, r_max, max_steps):
             end[far] = True
         if len(hits) or len(far):
             keep = np.flatnonzero(~end)
-            pos, weight, travel, d, idx = (a.take(keep, axis=0) for a in
-                                           (pos, weight, travel, d, idx))
-            if not len(idx):
-                return contrib, 0, escaped
-        step = dirs[:len(idx)]
-        cuts = np.append(np.searchsorted(idx, starts), len(idx))
-        for j in np.flatnonzero(np.diff(cuts)).tolist():
-            rngs[j].standard_normal(out=step[cuts[j]:cuts[j + 1]])
+            d = d.take(keep)
+            m = compact(keep)
+        cuts = np.searchsorted(idx[:m], [blk[0] for blk in live]).tolist()
+        spans = [(blk, a, b) for blk, a, b in zip(live, cuts, cuts[1:] + [m])
+                 if a < b]
+        live = [blk for blk, _, _ in spans]
+        step = dirs[:m]
+        for (_, rng, _), a, b in spans:
+            rng.standard_normal(out=step[a:b])
         step /= _norm(step)[:, None]
         if c_weight > 0.0:
-            weight *= _survival_factor(d, c_weight)
+            weight[:m] *= _survival_factor(d, c_weight)
         step *= d[:, None]
-        pos += step
-        travel += d
-    return contrib, len(idx), escaped
-
-
-def _map_waves(run, waves: list, workers: int) -> list:
-    """[run(w) for w in waves], on up to `workers` threads.
-
-    With one worker or one wave no thread starts.  Otherwise the results
-    still come back in wave order; the exception of the first failing wave
-    is raised after the waves not yet started are cancelled and the running
-    ones joined, so no thread outlives the call.
-    """
-    if min(workers, len(waves)) == 1:
-        return [run(w) for w in waves]
-    with ThreadPoolExecutor(min(workers, len(waves))) as pool:
-        return list(pool.map(run, waves))
+        pos[:m] += step
+        travel[:m] += d
+        t += 1
+        # deadlines grow along live, so the blocks due now lead it
+        due = sum(blk[2] == t for blk in live)
+        if due:
+            cut = spans[due][1] if due < len(spans) else m
+            truncated += cut
+            m = compact(np.arange(cut, m))
+            live = live[due:]
 
 
 def robin_constant(domain, pole, n_walks: int, seed: int,
@@ -331,21 +354,23 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     into fixed-size blocks, block b drawing from its own substream
     default_rng([seed, b]), and blocks are merged in index order -- so the
     estimate does not depend on the order in which blocks are run.
-    Consecutive blocks are stepped in lockstep waves, which changes no draw
-    and no output bit as long as the domain's distance and project give
-    each row of an (n, 4) call the bits of a one-row call on it, whatever
-    n: every built-in domain does (HalfSpace uses einsum, not a matmul, for
-    that reason).
+    Each thread streams blocks through its live set, taking them in index
+    order from one queue and stepping all its live walks together, which
+    changes no draw and no output bit as long as the domain's distance and
+    project give each row of an (n, 4) call the bits of a one-row call on
+    it, whatever n: every built-in domain does.
 
     A domain whose type is Ball, HalfSpace or GenericSolvable (not a
-    subclass) has its waves run on _WORKERS threads, one per CPU in the
-    process's affinity mask and at most 2; numpy releases the GIL inside
-    its array loops, so the threads overlap.  Any other domain object runs
-    on the calling thread alone.  Each wave holds at most
-    _WAVE_WALKS // workers walks or one block, whichever is more, so at
-    most max(_WAVE_WALKS, workers * block_size) walks are in flight.  The
-    waves are merged in order, so the result is the same, bit for bit, for
-    any number of threads.
+    subclass) has its blocks run on _WORKERS threads, the calling one among
+    them, one per CPU in the process's affinity mask and at most 2; numpy
+    releases the GIL inside its array loops, so the threads overlap.  Any
+    other domain object runs on the calling thread alone.  A thread's live
+    set holds at most _WAVE_WALKS // workers walks or one block, whichever
+    is more, so at most max(_WAVE_WALKS, workers * block_size) walks are in
+    flight; its first fill takes at most its even share of the blocks.
+    Each walk's kernel lands at its index, so the result is the same, bit
+    for bit, for any number of threads.  An error on any thread stops the
+    queue and is raised once every thread has stopped.
     """
     if not _is_int(n_walks) or n_walks < 1:
         raise InvalidInputError(f"n_walks must be an integer >= 1, "
@@ -366,23 +391,46 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
 
     bs = config.block_size
     n_blocks = -(-n_walks // bs)
-    workers = _WORKERS if type(domain) in _THREADED_DOMAINS else 1
-    n_waves = -(-n_blocks // max(1, _WAVE_WALKS // workers // bs))
-    waves = [w.tolist() for w in np.array_split(np.arange(n_blocks), n_waves)]
+    workers = min(_WORKERS if type(domain) in _THREADED_DOMAINS else 1,
+                  n_blocks)
+    cap = max(_WAVE_WALKS // workers, bs)
+    first = min(cap, -(-n_blocks // workers) * bs)
+    contrib = np.zeros(n_walks)
+    lock = threading.Lock()
+    queue = iter(range(n_blocks))
+    tallies, errors = [], []
 
-    def run(wave):
-        return _run_wave(domain, pole,
-                         [min(bs, n_walks - b * bs) for b in wave],
-                         [np.random.default_rng([seed, b]) for b in wave],
-                         c_weight, config.eps_shell, r_max, config.max_steps)
+    def blocks():
+        """The next blocks of the shared queue; none once a thread failed."""
+        while True:
+            with lock:
+                b = None if errors else next(queue, None)
+            if b is None:
+                return
+            yield (b * bs, min(bs, n_walks - b * bs),
+                   np.random.default_rng([seed, b]))
 
-    results = _map_waves(run, waves, workers)
-    contrib = np.concatenate([w[0] for w in results])
+    def work():
+        try:
+            tallies.append(_walk_blocks(domain, pole, blocks(), first, cap,
+                                        contrib, c_weight, r_max, config))
+        except BaseException as exc:  # raised below, after every join
+            with lock:
+                errors.append(exc)
+
+    helpers = [threading.Thread(target=work) for _ in range(workers - 1)]
+    for h in helpers:
+        h.start()
+    work()
+    for h in helpers:
+        h.join()
+    if errors:
+        raise errors[0]
     lam = -float(np.mean(contrib))
     se = float(np.std(contrib, ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
     return RobinEstimate(lambda_hat=lam, stderr=se, n_walks=n_walks,
-                         truncated_walks=sum(w[1] for w in results),
-                         escaped_walks=sum(w[2] for w in results),
+                         truncated_walks=sum(w[0] for w in tallies),
+                         escaped_walks=sum(w[1] for w in tallies),
                          seed=seed, c_weight=c_weight, r_max=r_max)
 
 

@@ -27,7 +27,7 @@ from hopfsurf.robin import (Ball, HalfSpace, ball_oracle,
                             half_space_from_theta, half_space_oracle,
                             identity_point, product_half_plane_oracle,
                             robin_constant, solvable_from_translate, WosConfig,
-                            _run_wave)
+                            _walk_blocks)
 
 P23 = HopfParams(2 + 0j, 3 + 0j)
 INV23 = derive_invariants(P23, Numeric())
@@ -225,11 +225,13 @@ def test_criterion_6_robin_oracles():
     # blocks run in reverse order on their own substreams, merged by index
     cfg, hs, n = WosConfig(), cases[2][0], 20_000
     starts = range(0, n, cfg.block_size)
-    merged = {b: _run_wave(hs, e, [min(cfg.block_size, n - lo)],
-                           [np.random.default_rng([777, b])], 0.0,
-                           cfg.eps_shell, cfg.r_max_factor * 1.0,
-                           cfg.max_steps)[0]
-              for b, lo in reversed(list(enumerate(starts)))}
+    merged = {}
+    for b, lo in reversed(list(enumerate(starts))):
+        merged[b] = np.zeros(min(cfg.block_size, n - lo))
+        _walk_blocks(hs, e, iter([(0, len(merged[b]),
+                                   np.random.default_rng([777, b]))]),
+                     cfg.block_size, cfg.block_size, merged[b], 0.0,
+                     cfg.r_max_factor * 1.0, cfg)
     reordered = -float(np.mean(np.concatenate(
         [merged[b] for b in range(len(starts))])))
     _report("criterion 6: ball/half-space/product-half-plane estimates hit "

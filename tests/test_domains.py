@@ -204,7 +204,7 @@ class TestDistanceToIdentity:
             "                 '--b-re', '4']) == 0",
             "assert cli.main(['reduce', '--a-re', '2', '--b-re', '3',",
             "                 '--z-re', '64', '--w-re', '121.5']) == 0",
-            # 10 blocks of 4,096 walks: 2 or 3 waves
+            # 10 blocks of 4,096 walks, streamed through two live sets
             "robin_constant(HalfSpace((0.0, 0.0, 1.0, 0.0), 0.0),",
             "               identity_point(), 40_000, 3)",
             "ball_oracle(1.0)",

@@ -291,12 +291,29 @@ def half_spaces(draw):
        rows=st.lists(st.tuples(*[st.floats(-1e3, 1e3)] * 4), min_size=1,
                      max_size=64))
 def test_half_space_rows_do_not_depend_on_the_row_count(hs, rows):
-    # walk-on-spheres steps a wave of blocks in one call; each row must get
-    # the bits that a call of its own would give it
+    # walk-on-spheres steps a live set of blocks in one call; each row must
+    # get the bits that a call of its own would give it
     x = np.array(rows)
     for f in (hs.distance, hs.project):
         one_by_one = np.concatenate([f(x[i:i + 1]) for i in range(len(x))])
         assert f(x).tobytes() == one_by_one.tobytes()
+
+
+@PROPERTY
+@given(hs=half_spaces(), n=st.integers(1, 300), seed=st.integers(0, 2**32))
+def test_half_space_distance_is_the_written_column_sum(hs, n, seed):
+    # (x0 n0 + x2 n2) + (x1 n1 + x3 n3) - offset in IEEE basic operations,
+    # here in Python floats, row by row; project moves along the normal
+    x = np.random.default_rng(seed).uniform(-1e3, 1e3, (n, 4))
+    n0, n1, n2, n3 = hs.normal
+    want = np.array([(a * n0 + c * n2) + (b * n1 + e * n3) - hs.offset
+                     for a, b, c, e in x.tolist()])
+    d = hs.distance(x)
+    assert d.tobytes() == want.tobytes()
+    assert d.tobytes() == np.concatenate(
+        [hs.distance(x[i:i + 1]) for i in range(n)]).tobytes()
+    assert hs.project(x).tobytes() == (
+        x - want[:, None] * np.array(hs.normal)).tobytes()
 
 
 def _curve_distance(p1, p2, k, rho):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import threading
 import time
+import types
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf import domains, robin
 from hopfsurf.robin import (Ball, ExperimentBudget, GenericSolvable,
-                            HalfSpace, WosConfig, _escape_reach, _run_wave,
+                            HalfSpace, WosConfig, _escape_reach, _walk_blocks,
                             _survival_factor, ball_oracle,
                             boundary_behavior_experiment,
                             half_space_from_theta, half_space_oracle,
@@ -112,9 +113,9 @@ class TestRobinConstant:
         n, seed = 20_000, 777
         r_max = cfg.r_max_factor * float(hs.distance(E[None])[0])
         starts = range(0, n, cfg.block_size)
-        merged = {b: _run_wave(hs, E, [min(cfg.block_size, n - lo)],
-                               [np.random.default_rng([seed, b])], 0.0,
-                               cfg.eps_shell, r_max, cfg.max_steps)[0]
+        merged = {b: walk_block(hs, min(cfg.block_size, n - lo),
+                                np.random.default_rng([seed, b]),
+                                r_max=r_max)[0]
                   for b, lo in reversed(list(enumerate(starts)))}
         contrib = np.concatenate([merged[b] for b in range(len(starts))])
         assert robin_constant(hs, E, n, seed).lambda_hat \
@@ -143,6 +144,12 @@ class TestRobinConstant:
         assert ball_oracle(1.0) < ball_oracle(1.0, c=0.5) < 0.0
 
 
+HS = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
+OFF_BALL = Ball(center=(1.3, 0.1, 0.8, 0.0), radius=1.0)
+# two nonzero normal components: a one-row matmul rounds differently
+PLANE = half_space_from_theta(math.pi / 3)
+
+
 class CountingDomain:
     """Records the number of rows of every distance call."""
 
@@ -158,13 +165,24 @@ class CountingDomain:
         return self.inner.project(x)
 
 
+def walk_block(domain, nb, rng, c=0.0, cfg=WosConfig(), r_max=1e3):
+    """One block of nb walks from E, alone in a live set:
+    (contrib, truncated, escaped)."""
+    contrib = np.zeros(nb)
+    truncated, escaped = _walk_blocks(domain, E, iter([(0, nb, rng)]),
+                                      cfg.block_size, cfg.block_size,
+                                      contrib, c, r_max, cfg)
+    return contrib, truncated, escaped
+
+
 def masked_block(domain, nb, rng, eps, r_max, c=0.0, pole=E,
                  max_steps=None):
     """Reference block kernel: full-size arrays and an alive mask.
 
-    Draws the same stream as a one-block _run_wave (directions for the live
-    walks, in walk order), tests every live walk for escape and counts each
-    walk's distance evaluations.  Returns (contrib, steps, truncated, escaped).
+    Draws the same stream as a block stepped by _walk_blocks (directions
+    for the live walks, in walk order), tests every live walk for escape
+    and counts each walk's distance evaluations.  Returns (contrib, steps,
+    truncated, escaped).
     """
     pos = np.tile(pole, (nb, 1))
     weight = np.ones(nb)
@@ -214,9 +232,8 @@ class TestLiveWalkCompaction:
         for b, lo in enumerate(range(0, n, cfg.block_size)):
             nb = min(cfg.block_size, n - lo)
             dom = CountingDomain(hs)
-            contrib, truncated, _ = _run_wave(
-                dom, E, [nb], [np.random.default_rng([seed, b])], 0.0,
-                cfg.eps_shell, r_max, cfg.max_steps)
+            contrib, truncated, _ = walk_block(
+                dom, nb, np.random.default_rng([seed, b]), r_max=r_max)
             ref, ref_steps, _, _ = masked_block(hs, nb, np.random.default_rng(
                 [seed, b]), cfg.eps_shell, r_max)
             assert truncated == 0
@@ -231,8 +248,7 @@ class TestLiveWalkCompaction:
 
     def test_screened_block_matches_masked_reference(self):
         hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
-        contrib, _, _ = _run_wave(hs, E, [4096], [np.random.default_rng(3)],
-                                  0.5, 1e-4, 1e3, 20000)
+        contrib, _, _ = walk_block(hs, 4096, np.random.default_rng(3), 0.5)
         ref, _, _, _ = masked_block(hs, 4096, np.random.default_rng(3), 1e-4,
                                     1e3, c=0.5)
         assert np.array_equal(contrib, ref)
@@ -241,30 +257,37 @@ class TestLiveWalkCompaction:
         dom = CountingDomain(Ball(center=tuple(E), radius=1.0))
         est = robin_constant(dom, E, 10_000, 12345)
         assert est.lambda_hat == -1.0
-        # the pole's distance, then for the one wave of three blocks one
-        # call before the single step and one that finds every walk on the
-        # sphere
+        # the pole's distance, then for the three blocks of the first fill
+        # one call before the single step and one that finds every walk on
+        # the sphere
         assert dom.rows == [1, 10000, 10000]
 
+    def test_streaming_halves_the_distance_calls(self):
+        # one thread (a wrapper) and 1e5 walks: steps of fixed waves of 8
+        # blocks, each stepped to its last walk, made 1,092 calls on
+        # 5,209,024 rows (one row per walk per step, plus the pole's)
+        dom = CountingDomain(HS)
+        robin_constant(dom, E, 100_000, 5)
+        assert sum(dom.rows) == 5_209_024
+        assert len(dom.rows) <= 1092 // 2
 
-HS = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
-OFF_BALL = Ball(center=(1.3, 0.1, 0.8, 0.0), radius=1.0)
-# two nonzero normal components: a one-row matmul rounds differently
-PLANE = half_space_from_theta(math.pi / 3)
+
+def assert_matches(est, ref):
+    """est, a RobinEstimate, has the bits of ref, a masked_estimate."""
+    lam, se, truncated, escaped = ref
+    assert (est.lambda_hat, est.stderr) == (lam, se)
+    assert (est.truncated_walks, est.escaped_walks) == (truncated, escaped)
 
 
 class TestWaveKernel:
-    """robin_constant steps its blocks in lockstep waves; every output must
-    equal the masked reference run one block after another, bit for bit."""
+    """robin_constant streams its blocks through each thread's live set;
+    every output must equal the masked reference run one block after
+    another, bit for bit."""
 
     @staticmethod
     def check(domain, pole, n, seed, c=0.0, cfg=WosConfig()):
         est = robin_constant(domain, pole, n, seed, c_weight=c, config=cfg)
-        lam, se, truncated, escaped = masked_estimate(domain, pole, n, seed,
-                                                      c, cfg)
-        assert (est.lambda_hat, est.stderr) == (lam, se)
-        assert (est.truncated_walks, est.escaped_walks) == (truncated,
-                                                            escaped)
+        assert_matches(est, masked_estimate(domain, pole, n, seed, c, cfg))
         return est
 
     # the reference runs one block at a time in Python: blocks of 3 walk
@@ -284,13 +307,26 @@ class TestWaveKernel:
 
     @pytest.mark.parametrize("n", [7, 200])
     def test_small_waves_split_unevenly(self, monkeypatch, n):
-        # at most 3 blocks of 3 walks per wave: 200 walks make 67 blocks in
-        # 23 waves of 3 or 2 blocks, the last block holding 2 walks
+        # at most 3 blocks of 3 walks in the live set: 200 walks make 67
+        # blocks, the last holding 2 walks, each joining as one ends
         monkeypatch.setattr(robin, "_WAVE_WALKS", 10)
         self.check(HS, E, n, 7, cfg=WosConfig(block_size=3))
 
     def test_truncation(self):
         est = self.check(HS, E, 4097, 0, cfg=WosConfig(max_steps=5))
+        assert est.truncated_walks > 0
+
+    def test_late_block_takes_its_own_max_steps(self, monkeypatch):
+        # one thread holding two blocks of 256 walks: block 2 joins once 256
+        # walks of blocks 0 and 1 have ended, at step 48, and is truncated
+        # 100 steps after it joined, not 100 steps after the call began
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 512)
+        dom = CountingDomain(HS)
+        est = self.check(dom, E, 768, 2,
+                         cfg=WosConfig(block_size=256, max_steps=100))
+        rows = dom.rows[1:]  # after the pole's distance
+        join = next(i for i in range(1, len(rows)) if rows[i] > rows[i - 1])
+        assert rows[0] == 512 and 0 < join < 100
         assert est.truncated_walks > 0
 
     @pytest.mark.parametrize("seed", [0, 7])
@@ -321,11 +357,11 @@ class TestWaveKernel:
 
 
 class TestThreadedWaves:
-    """robin_constant runs its waves on robin._WORKERS threads; the estimate
-    must not depend on how many."""
+    """robin_constant streams its blocks through the live sets of
+    robin._WORKERS threads; the estimate must not depend on how many."""
 
-    # waves of 4, 2 and 1 blocks of 1,024 walks for 1, 2 and 3 workers: 5
-    # blocks make 2, 3 and 5 waves
+    # 5 blocks of 1,024 walks (the last of 1 walk) on 1, 2 and 3 threads,
+    # each thread's live set capped at 1 to 5 blocks
     @pytest.mark.parametrize("domain, seed, c, cfg", [
         (HS, 3, 0.0, WosConfig(block_size=1024)),
         (PLANE, 4, 0.0, WosConfig(block_size=1024)),
@@ -335,19 +371,41 @@ class TestThreadedWaves:
         (HS, 7, 0.0, WosConfig(block_size=1024, r_max_factor=3.0))])
     def test_same_estimate_for_any_worker_count(self, monkeypatch, domain,
                                                 seed, c, cfg):
-        monkeypatch.setattr(robin, "_WAVE_WALKS", 4096)
+        ref = masked_estimate(domain, E, 4097, seed, c, cfg)
         ests = []
         for workers in (1, 2, 3):
             monkeypatch.setattr(robin, "_WORKERS", workers)
-            ests.append(TestWaveKernel.check(domain, E, 4097, seed, c, cfg))
-        assert ests[0] == ests[1] == ests[2]
+            for blocks in range(1, 6):
+                monkeypatch.setattr(robin, "_WAVE_WALKS",
+                                    workers * blocks * 1024)
+                ests.append(robin_constant(domain, E, 4097, seed,
+                                           c_weight=c, config=cfg))
+                assert_matches(ests[-1], ref)
+        assert all(est == ests[0] for est in ests)
         if cfg.max_steps == 5:
             assert ests[0].truncated_walks > 0
         if cfg.r_max_factor == 3.0:
             assert ests[0].escaped_walks > 0
 
+    def test_many_threads_share_the_queue(self, monkeypatch):
+        # 4 threads on 250 blocks of 8 walks, one block per live set, with
+        # a short switch interval: a block taken twice or skipped would move
+        # the estimate or the escape count
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 32)
+        cfg = WosConfig(block_size=8, r_max_factor=3.0)
+        monkeypatch.setattr(robin, "_WORKERS", 1)
+        want = robin_constant(HS, E, 2000, 9, config=cfg)
+        monkeypatch.setattr(robin, "_WORKERS", 4)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = robin_constant(HS, E, 2000, 9, config=cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want and want.escaped_walks > 0
+
     def test_first_screened_call_in_a_fresh_process(self, monkeypatch):
-        # the first c > 0 wave imports scipy's I_1, on whichever thread
+        # the first c > 0 step imports scipy's I_1, on whichever thread
         # steps it; the estimate must not depend on the thread count
         import hopfsurf
         src = os.path.dirname(os.path.dirname(hopfsurf.__file__))
@@ -367,31 +425,21 @@ class TestThreadedWaves:
         est = robin_constant(HS, E, 40_000, 11, c_weight=0.5)
         assert out.stdout.strip() == repr(est)
 
-    def test_waves_come_back_in_order(self):
-        # later waves finish first; at most 3 run at once
-        running, most = [], []
+    def test_one_worker_starts_no_thread(self, monkeypatch):
+        # one CPU, or a single block: every block steps on the calling thread
+        cfg = WosConfig(block_size=1024)
+        ests = [robin_constant(HS, E, 4097, 3, config=cfg),
+                robin_constant(HS, E, 1000, 3)]
 
-        def run(i):
-            running.append(i)
-            most.append(len(running))
-            time.sleep(0.002 * (20 - i))
-            running.remove(i)
-            return i * i
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
 
-        assert robin._map_waves(run, list(range(20)), 3) == [
-            i * i for i in range(20)]
-        assert max(most) <= 3
-
-    def test_one_worker_starts_no_thread(self):
-        threads = set()
-
-        def run(i):
-            threads.add(threading.get_ident())
-            return i
-
-        assert robin._map_waves(run, [0, 1, 2], 1) == [0, 1, 2]
-        assert robin._map_waves(run, [0], 4) == [0]
-        assert threads == {threading.get_ident()}
+        monkeypatch.setattr(robin, "threading", types.SimpleNamespace(
+            Thread=no_thread, Lock=threading.Lock))
+        monkeypatch.setattr(robin, "_WORKERS", 1)
+        assert robin_constant(HS, E, 4097, 3, config=cfg) == ests[0]
+        monkeypatch.setattr(robin, "_WORKERS", 4)
+        assert robin_constant(HS, E, 1000, 3) == ests[1]
 
     def test_other_domain_types_step_on_the_calling_thread(self,
                                                            monkeypatch):
@@ -411,53 +459,68 @@ class TestThreadedWaves:
         assert est == robin_constant(HS, E, 4097, 3, config=cfg)
 
     @staticmethod
-    def failing_last_wave(delay):
-        """A half-space whose distance fails, after `delay` seconds, at the
-        start of the last wave (the only one of 5 walks) when that wave runs
-        off the calling thread."""
+    def failing_helper(delay):
+        """A half-space whose distance fails, after `delay` seconds, on a
+        helper thread's first step.  The calling thread waits for that step
+        before it steps, so each thread holds a block."""
         caller = threading.get_ident()
+        stepped = threading.Event()
 
         def dist(x):
-            if (len(x) == 5 and (x == E).all()
-                    and threading.get_ident() != caller):
+            if threading.get_ident() != caller:
+                stepped.set()
                 time.sleep(delay)
-                raise EvaluationError("the last wave failed")
+                raise EvaluationError("a helper failed")
+            if len(x) > 1:  # not the pole's distance
+                assert stepped.wait(10)
             return HS.distance(x)
 
         return GenericSolvable(dist)
 
-    # waves of one block of 1,024 walks: 2,053 walks make three waves
+    # one block of 1,024 walks per live set: 2,053 walks make three blocks
     @pytest.mark.parametrize("delay", [0.0, 0.3])
-    def test_failing_wave_is_raised_after_every_join(self, monkeypatch,
+    def test_helper_error_is_raised_after_every_join(self, monkeypatch,
                                                      delay):
-        # with the delay the other waves finish before a helper thread's
-        # last wave fails
+        # with the delay the calling thread steps the other two blocks
+        # before the helper fails
         monkeypatch.setattr(robin, "_WORKERS", 2)
         monkeypatch.setattr(robin, "_WAVE_WALKS", 2048)
         before = threading.active_count()
-        with pytest.raises(EvaluationError, match="the last wave failed"):
-            robin_constant(self.failing_last_wave(delay), E, 2053, 0,
+        with pytest.raises(EvaluationError, match="a helper failed"):
+            robin_constant(self.failing_helper(delay), E, 2053, 0,
                            config=WosConfig(block_size=1024))
         assert threading.active_count() == before
 
-    def test_first_failing_wave_stops_the_rest(self):
-        started = []
-
-        def run(i):
-            started.append(i)
-            if i == 0:
-                time.sleep(0.05)
-                raise EvaluationError("wave 0")
-            if i == 1:
-                raise EvaluationError("wave 1")
-            time.sleep(0.05)
-            return i
-
+    def test_no_block_starts_after_an_error(self, monkeypatch):
+        # 100 blocks of 64 walks, one per live set: once the calling thread
+        # holds a block, the helper fails on its first step, and the calling
+        # thread waits for the helper thread to end before it steps; then
+        # it finishes its block and takes no other
+        monkeypatch.setattr(robin, "_WORKERS", 2)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 128)
         before = threading.active_count()
-        with pytest.raises(EvaluationError, match="wave 0"):
-            robin._map_waves(run, list(range(100)), 2)
+        caller = threading.get_ident()
+        holding = threading.Event()
+        at_pole = []
+
+        def dist(x):
+            if threading.get_ident() != caller:
+                assert holding.wait(10)
+                raise EvaluationError("a helper failed")
+            if len(x) > 1:  # not the pole's distance
+                holding.set()
+                deadline = time.monotonic() + 10
+                while (threading.active_count() > before
+                       and time.monotonic() < deadline):
+                    time.sleep(0.001)
+                at_pole.append(int((x == E).all(axis=-1).sum()))
+            return HS.distance(x)
+
+        with pytest.raises(EvaluationError, match="a helper failed"):
+            robin_constant(GenericSolvable(dist), E, 6400, 0,
+                           config=WosConfig(block_size=64))
         assert threading.active_count() == before
-        assert len(started) < 10
+        assert at_pole[0] == 64 and sum(at_pole) == 64
 
 
 class TestWosInputValidation:
