@@ -405,19 +405,15 @@ def _curves_distance(ks: list[float], rho: float) -> float:
 
 
 class TranslatedDomain:
-    """Base of the recentered kinds: residual(xi, eta), distance_bounds,
-    wos_domain and seed_key.  The walk-on-spheres shapes come from robin,
-    imported inside wos_domain because robin imports this module."""
+    """Base of the recentered kinds: residual(xi, eta), distance_bounds and
+    wos_domain.  The walk-on-spheres shapes come from robin, imported
+    inside wos_domain because robin imports this module."""
 
     theta: Optional[float] = None  # angular offset, half-plane kinds only
 
     def wos_domain(self):
         raise EvaluationError("no walk-on-spheres adapter for "
                               f"{type(self).__name__}")
-
-    def seed_key(self) -> Optional[tuple]:
-        """Floats that identify the domain for walk sub-seeding, or None."""
-        return None
 
 
 @dataclass(frozen=True)
@@ -437,9 +433,6 @@ class ProductHalfPlane(TranslatedDomain):
     def wos_domain(self):
         from .robin import half_space_from_theta
         return half_space_from_theta(self.theta)
-
-    def seed_key(self):
-        return (self.theta,)
 
 
 @dataclass(frozen=True)
@@ -492,9 +485,6 @@ class ModulusRegion(TranslatedDomain):
             return np.where(np.isnan(out), 0.0, out)
 
         return GenericSolvable(distance_fn=dist)
-
-    def seed_key(self):
-        return (self.log_k1, self.log_k2, self.rho)
 
 
 @dataclass(frozen=True)
@@ -602,10 +592,12 @@ def tangency_check(spec, X: VectorField, n_samples: int, t_grid,
     Boundary samples are checked for residual drift along the flow; interior
     samples for sign changes (escapes).  Tangential verdict iff the maximum
     drift stays within tol and nothing escapes.  InvalidInputError for
-    n_samples < 1 or a tol that is negative or not finite.
+    n_samples < 1, an empty t_grid or a tol that is negative or not finite.
     """
     _require_samples(n_samples)
     _require_nonneg(tol)
+    if not len(t_grid):
+        raise InvalidInputError("t_grid must not be empty")
     rng = np.random.default_rng(seed)
     boundary = _boundary_samples(spec, n_samples, params, inv, rng)
     boundary = [pt for pt in boundary

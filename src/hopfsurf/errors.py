@@ -7,6 +7,7 @@ by several modules raise InvalidInputError with one message each.
 
 import cmath
 import math
+import numbers
 
 
 class InvalidInputError(ValueError):
@@ -29,9 +30,18 @@ class EvaluationError(ValueError):
     """Raised when a quantity cannot be evaluated at the requested point."""
 
 
-def _require_samples(n: int, name: str = "n_samples") -> None:
-    if n < 1:
-        raise InvalidInputError(f"{name} must be >= 1, got {n}")
+def _is_int(x) -> bool:
+    """An integer (Python or numpy), not a bool."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _require_samples(n: int, name: str = "n_samples", least: int = 1) -> None:
+    """The one check of a count argument: an integer >= least."""
+    if not _is_int(n):
+        raise InvalidInputError(f"{name} must be an integer, "
+                                f"got {type(n).__name__}")
+    if n < least:
+        raise InvalidInputError(f"{name} must be >= {least}, got {n}")
 
 
 def _require_nonneg(x: float, name: str = "tol") -> None:

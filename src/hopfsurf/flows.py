@@ -23,7 +23,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError, _require_finite
+from .errors import (EvaluationError, InvalidInputError, _require_finite,
+                     _require_samples)
 from .invariants import TWO_PI, HopfParams, InvariantSet, _arg01
 from .quotient import HopfPoint, reduce_point
 
@@ -213,8 +214,7 @@ def fiber_set(X: VectorField, z_prime: complex, inv: InvariantSet,
     if z_prime == 0:
         raise InvalidInputError("fiber over z = 0 is not in the chart")
     _require_finite("fiber base z'", z_prime)
-    if N < 1:
-        raise InvalidInputError("N must be >= 1")
+    _require_samples(N, "N")
     params = inv.params
 
     if is_unit_proportional(X, params):

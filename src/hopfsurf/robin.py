@@ -41,7 +41,6 @@ the estimate is the same, bit for bit, for any number of CPUs.
 from __future__ import annotations
 
 import math
-import numbers
 import os
 import threading
 from dataclasses import dataclass
@@ -49,7 +48,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .errors import EvaluationError, InvalidInputError, _require_nonneg
+from .errors import (EvaluationError, InvalidInputError, _is_int,
+                     _require_nonneg, _require_samples)
 from . import domains as _domains
 
 KERNEL_NORMALIZATION = "G(x) = |x - pole|^-2 + lambda + o(1)"
@@ -154,11 +154,6 @@ def solvable_from_translate(translated):
 
 # ---------------------------------------------------------------------------
 # estimator
-
-
-def _is_int(x) -> bool:
-    """An integer (Python or numpy), not a bool."""
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -345,15 +340,20 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             live = live[due:]
 
 
-def robin_constant(domain, pole, n_walks: int, seed: int,
-                   c_weight: float = 0.0,
-                   config: WosConfig = WosConfig()) -> RobinEstimate:
-    """Monte-Carlo Robin constant of `domain` at `pole`.
+def _stderr(x: np.ndarray) -> float:
+    """Standard error of the mean of x; 0.0 for a single sample."""
+    return float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
 
-    Deterministic for fixed (seed, n_walks, config): walks are partitioned
-    into fixed-size blocks, block b drawing from its own substream
-    default_rng([seed, b]), and blocks are merged in index order -- so the
-    estimate does not depend on the order in which blocks are run.
+
+def _contributions(domain, pole, n_walks: int, seed: int,
+                   c_weight: float = 0.0, config: WosConfig = WosConfig()):
+    """The walks of robin_constant: (contrib, truncated, escaped, r_max).
+
+    contrib[i] is walk i's weighted kernel at its boundary hit, 0.0 if it
+    escaped or was truncated.  Walks are partitioned into fixed-size
+    blocks, block b drawing from its own substream default_rng([seed, b]),
+    so walk i draws the same directions on any domain for fixed (seed,
+    n_walks, config), and the order in which blocks run changes nothing.
     Each thread streams blocks through its live set, taking them in index
     order from one queue and stepping all its live walks together, which
     changes no draw and no output bit as long as the domain's distance and
@@ -372,9 +372,7 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     for bit, for any number of threads.  An error on any thread stops the
     queue and is raised once every thread has stopped.
     """
-    if not _is_int(n_walks) or n_walks < 1:
-        raise InvalidInputError(f"n_walks must be an integer >= 1, "
-                                f"got {n_walks}")
+    _require_samples(n_walks, "n_walks")
     if not _is_int(seed) or seed < 0:
         raise InvalidInputError(f"seed must be an integer >= 0, got {seed}")
     _require_nonneg(c_weight, "c_weight")
@@ -426,11 +424,23 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
         h.join()
     if errors:
         raise errors[0]
-    lam = -float(np.mean(contrib))
-    se = float(np.std(contrib, ddof=1) / math.sqrt(n_walks)) if n_walks > 1 else 0.0
-    return RobinEstimate(lambda_hat=lam, stderr=se, n_walks=n_walks,
-                         truncated_walks=sum(w[0] for w in tallies),
-                         escaped_walks=sum(w[1] for w in tallies),
+    return (contrib, sum(w[0] for w in tallies), sum(w[1] for w in tallies),
+            r_max)
+
+
+def robin_constant(domain, pole, n_walks: int, seed: int,
+                   c_weight: float = 0.0,
+                   config: WosConfig = WosConfig()) -> RobinEstimate:
+    """Monte-Carlo Robin constant of `domain` at `pole`.
+
+    Deterministic for fixed (seed, n_walks, config), bit for bit, whatever
+    the number of threads; _contributions runs the walks.
+    """
+    contrib, truncated, escaped, r_max = _contributions(
+        domain, pole, n_walks, seed, c_weight, config)
+    return RobinEstimate(lambda_hat=-float(np.mean(contrib)),
+                         stderr=_stderr(contrib), n_walks=n_walks,
+                         truncated_walks=truncated, escaped_walks=escaped,
                          seed=seed, c_weight=c_weight, r_max=r_max)
 
 
@@ -494,23 +504,6 @@ class BoundaryRow:
     truncated_walks: int
 
 
-def _sub_seed(seed: int, *words: int) -> int:
-    return int(np.random.SeedSequence([seed, *words]).generate_state(1)[0])
-
-
-def _domain_seed(seed: int, td) -> int:
-    """Sub-seed derived from the translated domain's parameters.
-
-    Two anchors producing the same translated domain get identical walk
-    streams, so the estimated proxy is identical too -- a useful control: a
-    degenerate anchor family has sub-mean-value residual exactly zero.
-    """
-    key = td.seed_key()
-    if key is None:
-        return seed
-    return _sub_seed(seed, *map(int, np.array(key).view(np.uint32)))
-
-
 def boundary_behavior_experiment(spec, anchors: Sequence, params,
                                  inv=None,
                                  budget: ExperimentBudget = ExperimentBudget()
@@ -528,8 +521,9 @@ def boundary_behavior_experiment(spec, anchors: Sequence, params,
         # a kind without an adapter fails before the costly distance search
         solvable = solvable_from_translate(td)
         lo, hi = _domains.distance_to_identity(td)
+        seed = np.random.SeedSequence([budget.seed, j]).generate_state(1)[0]
         est = robin_constant(solvable, identity_point(), budget.n_walks,
-                             _sub_seed(budget.seed, j))
+                             int(seed))
         rows.append(BoundaryRow(
             anchor_z=complex(anchor[0]), anchor_w=complex(anchor[1]),
             theta=td.theta, dist_lower=lo, dist_upper=hi,
@@ -555,34 +549,36 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
     Evaluates the -lambda proxy at anchor and at grid_n points on the circle
     of radius disk_radius in the line t -> anchor + t*direction, and checks
     mean(ring) - center >= -3 sigma.  All line points must stay inside the
-    domain.
+    domain.  Every point runs the same walks (seed budget.seed), so walk i
+    gives one paired difference mean_j(c_j - c_0) of its ring and center
+    kernels; residual is their mean and stderr its standard error.  Points
+    with the same translate give exact zeros.
     """
-    if grid_n < 3:
-        raise InvalidInputError("grid_n must be >= 3")
+    _require_samples(grid_n, "grid_n", 3)
     _require_nonneg(disk_radius, "disk_radius")
     dz, dw = complex(direction[0]), complex(direction[1])
     z0, w0 = complex(anchor[0]), complex(anchor[1])
 
-    def value_at(pt):
+    def contributions_at(pt):
         res = _domains.evaluate_domain(spec, pt, params, inv)
         if not res.inside:
             raise EvaluationError(f"line point {pt} leaves the domain")
         td = spec.translate(pt, params, inv)
-        est = robin_constant(solvable_from_translate(td), identity_point(),
-                             budget.n_walks, _domain_seed(budget.seed, td))
-        return -est.lambda_hat, est.stderr
+        return _contributions(solvable_from_translate(td), identity_point(),
+                              budget.n_walks, budget.seed)[0]
 
-    center, se_c = value_at((z0, w0))
+    center = contributions_at((z0, w0))
     ring = []
-    ses = []
+    diff = np.zeros_like(center)
     for j in range(grid_n):
         t = disk_radius * complex(math.cos(2 * math.pi * j / grid_n),
                                   math.sin(2 * math.pi * j / grid_n))
-        v, se = value_at((z0 + t * dz, w0 + t * dw))
-        ring.append(v)
-        ses.append(se)
-    residual = float(np.mean(ring) - center)
-    se = math.sqrt(sum(s**2 for s in ses) / grid_n**2 + se_c**2)
-    return PshReport(center_value=center, ring_values=ring,
+        c = contributions_at((z0 + t * dz, w0 + t * dw))
+        ring.append(float(np.mean(c)))
+        diff += c - center
+    diff /= grid_n
+    residual = float(np.mean(diff))
+    se = _stderr(diff)
+    return PshReport(center_value=float(np.mean(center)), ring_values=ring,
                      residual=residual, stderr=se,
                      consistent=(residual >= -3.0 * se))

@@ -18,7 +18,9 @@ from hopfsurf.domains import (GenericTranslate, ImplicitDomain, LeafFamily,
 from hopfsurf.errors import (CaseError, EvaluationError, InvalidInputError,
                              PreconditionError)
 from hopfsurf.flows import VectorField, unit_field
+from hopfsurf import flows, levi, robin
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
+from hopfsurf.poly import RealPoly2
 
 P23 = HopfParams(2 + 0j, 3 + 0j)
 INV23 = derive_invariants(P23, Numeric())
@@ -251,6 +253,13 @@ class TestTangency:
             tangency_check(LevelBand(0.5, 2.0), unit_field(P23), n,
                            [0.5], 1e-9, P23, seed=3, inv=INV23)
 
+    def test_rejects_empty_time_grid(self):
+        # no time flows no point, which read as tangential
+        with pytest.raises(InvalidInputError,
+                           match="t_grid must not be empty"):
+            tangency_check(LevelBand(0.5, 2.0), VectorField(1 + 0j, 0j), 5,
+                           [], 1e-9, P23, seed=3, inv=INV23)
+
     @pytest.mark.parametrize("tol", [-1e-9, math.nan, math.inf, -math.inf])
     def test_rejects_bad_tol(self, tol):
         # nan keeps no boundary or interior sample, inf keeps every one
@@ -450,6 +459,41 @@ class TestNonSpecInput:
             with pytest.raises(InvalidInputError):
                 call()
         assert issubclass(InvalidInputError, ValueError)
+
+    @pytest.mark.parametrize("name, call", [
+        ("n_samples", lambda n: tangency_check(
+            LevelBand(0.5, 2.0), unit_field(P23), n, [0.5], 1e-9, P23,
+            seed=0, inv=INV23)),
+        ("n_samples", lambda n: levi.pseudoconvexity_scan(
+            LevelBand(0.5, 2.0), n, 1e-6, P23, seed=0, inv=INV23)),
+        ("n_samples", lambda n: verify_nemirovskii_quotient(P24, n, 0)),
+        ("grid_n", lambda n: robin.psh_spot_check(
+            Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j), (0j, 1 + 0j), 0.1, n,
+            P24, INV24, budget=robin.ExperimentBudget(n_walks=16))),
+        ("N", lambda n: flows.fiber_set(unit_field(P23), 1.5 + 0j, INV23,
+                                           n)),
+        ("n_w_samples", lambda n: levi.sweep_cover_check(
+            levi.BoundaryModel(p=(RealPoly2(
+                {(2, 0): 1.0, (0, 2): 1.0}),)), 1.0, n_w_samples=n)),
+    ])
+    @pytest.mark.parametrize("bad", [2.5, 3.5, True, "3", None])
+    def test_counts_must_be_integers(self, name, call, bad):
+        # floats failed with TypeError, or ran on as n_w_samples did
+        with pytest.raises(InvalidInputError,
+                           match=f"^{name} must be an integer, "
+                                 f"got {type(bad).__name__}$"):
+            call(bad)
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda: flows.fiber_set(unit_field(P23), 1.5 + 0j, INV23, 0),
+         "N must be >= 1, got 0"),
+        (lambda: robin.psh_spot_check(
+            Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j), (0j, 1 + 0j), 0.1,
+            np.int64(2), P24, INV24), "grid_n must be >= 3, got 2"),
+    ])
+    def test_counts_below_the_least_are_named(self, call, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            call()
 
     @pytest.mark.parametrize("spec", [
         LevelBand(0.5, 2.0), SubLevel(1.5), SuperLevel(1.5),

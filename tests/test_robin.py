@@ -7,6 +7,7 @@ import sys
 import threading
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -659,6 +660,58 @@ class TestPshSpotCheck:
             psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
                            (0j, 1 + 0j), 2.0, 3, P24, inv=INV24,
                            budget=ExperimentBudget(n_walks=100, seed=5))
+
+    # the wos_translated benchmark's check: ring point 0 has the center's
+    # translate, and the other two are walls at nearby angles
+    LINE = (Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j), (0j, 1 + 0j), 0.1, 3,
+            P24, INV24)
+
+    def _line_contributions(self, budget):
+        spec, (z0, w0), (dz, dw), radius, grid_n = self.LINE[:5]
+        pts = [(z0, w0)] + [(z0 + t * dz, w0 + t * dw) for t in (
+            radius * complex(math.cos(2 * math.pi * j / grid_n),
+                             math.sin(2 * math.pi * j / grid_n))
+            for j in range(grid_n))]
+        return [robin._contributions(
+            solvable_from_translate(spec.translate(pt, P24, INV24)), E,
+            budget.n_walks, budget.seed)[0] for pt in pts]
+
+    def test_center_value_is_the_robin_estimate(self):
+        budget = ExperimentBudget(n_walks=3000, seed=11)
+        rep = psh_spot_check(*self.LINE, budget=budget)
+        spec, anchor = self.LINE[:2]
+        td = spec.translate(anchor, P24, INV24)
+        est = robin_constant(solvable_from_translate(td), E, budget.n_walks,
+                             budget.seed)
+        assert rep.center_value == -est.lambda_hat
+
+    def test_stderr_comes_from_the_paired_differences(self):
+        budget = ExperimentBudget(n_walks=3000, seed=11)
+        rep = psh_spot_check(*self.LINE, budget=budget)
+        center, *ring = self._line_contributions(budget)
+        diff = np.zeros_like(center)
+        for c in ring:
+            diff += c - center
+        diff /= len(ring)
+        assert rep.residual == np.mean(diff)
+        assert rep.stderr == np.std(diff, ddof=1) / math.sqrt(budget.n_walks)
+        assert rep.ring_values == [np.mean(c) for c in ring]
+
+    def test_one_walk_has_zero_stderr(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = psh_spot_check(*self.LINE,
+                                 budget=ExperimentBudget(n_walks=1, seed=5))
+        assert rep.stderr == 0.0
+        assert math.isfinite(rep.residual)
+
+    def test_paired_walks_shrink_the_stderr(self):
+        # the line points' streams were seeded apart and their stderrs
+        # added as if independent: about 0.002 here
+        rep = psh_spot_check(*self.LINE,
+                             budget=ExperimentBudget(n_walks=20_000))
+        assert rep.stderr < 0.0012
+        assert rep.consistent
 
     @pytest.mark.parametrize("radius", [math.nan, math.inf, -math.inf, -0.1])
     def test_bad_disk_radius_rejected(self, radius):
