@@ -22,12 +22,11 @@ angular offset theta is a half-space at distance cos(theta), hence
 lambda = -1/(4 cos^2 theta).
 
 A positive zeroth-order coefficient c (operator Laplacian minus c) is
-supported through per-step survival factors; the matching functional is
-certified for centered balls only, against the closed form
--x / (2 I_1(x) R^2) with x = sqrt(c) R.  Off the centered ball it is
-qualitative, the one qualitative estimate left in this module.  I_1 comes
-from scipy.special, imported on the first survival factor with some
-x >= 1e-6; c = 0 walks and oracles never load scipy.
+supported through per-step survival factors x / (2 I_1(x)), x = sqrt(c) r,
+computed with numpy alone; the matching functional is certified for
+centered balls only, against the closed form -x / (2 I_1(x) R^2) with
+x = sqrt(c) R.  Off the centered ball it is qualitative, the one
+qualitative estimate left in this module.
 
 Walks run in blocks that own their random streams.  Each thread streams
 blocks through one live set: a block joins, its walks at the pole, whenever
@@ -64,6 +63,12 @@ def kernel(r):
 # solvable domains in R^4, coordinates (Re xi, Im xi, Re eta, Im eta)
 
 
+# a walk in a ball squares distances up to its diameter (np.linalg.norm in
+# distance and project, _norm in the escape test), so the diameter's square
+# must stay finite
+_MAX_RADIUS = math.sqrt(np.finfo(float).max) / 2.0
+
+
 @dataclass(frozen=True)
 class Ball:
     center: tuple
@@ -72,6 +77,9 @@ class Ball:
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidInputError("radius must be positive")
+        if self.radius > _MAX_RADIUS:
+            raise InvalidInputError(f"radius must be at most {_MAX_RADIUS:.3g}"
+                                    f", got {self.radius}")
         center = np.asarray(self.center, dtype=float)
         if center.shape != (4,) or not np.isfinite(center).all():
             raise InvalidInputError(f"center must be a finite 4-vector, "
@@ -191,20 +199,70 @@ class RobinEstimate:
     kernel_normalization: str = KERNEL_NORMALIZATION
 
 
-def _survival_factor(r: np.ndarray, c: float) -> np.ndarray:
-    """E[exp(-c tau)] for exit from a sphere of radius r in R^4.
+# S(x) = x / (2 I_1(x)) below _SWITCH is 1 / 0F1(;2;x^2/4), a power series in
+# x^2/4 with coefficients 1/(k! (k+1)!); above it, the Hankel expansion
+# I_1(x) ~ e^x / sqrt(2 pi x) sum_k (-1)^k a_k(1) x^-k.  Both are cut where
+# their next term is below 1e-18 of the sum (a 36th Hankel coefficient of 0
+# fills the 6 x 6 shape _poly takes), and each coefficient is an exact
+# rational rounded once.
+_SWITCH = 20.0
+_SERIES = np.array([1 / (math.factorial(k) * math.factorial(k + 1))
+                    for k in range(36)]).reshape(6, 6)
+_HANKEL = np.array([(-1) ** k * math.prod(4 - (2 * j - 1) ** 2
+                                          for j in range(1, k + 1))
+                    / (math.factorial(k) * 8 ** k) for k in range(35)]
+                   + [0.0]).reshape(6, 6)
 
-    Closed form x / (2 I_1(x)) with x = sqrt(c) r; series for tiny x.
+
+def _poly(coefs: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sum_k coefs.flat[k] t^k for a 6 x 6 coefs and a 1-d t.
+
+    Row j of coefs holds the coefficients of t^(6j) .. t^(6j + 5).  The six
+    polynomials in t^6 that its columns give step together as one (6, n)
+    array, and Horner in t joins them: about a third of the numpy calls of
+    Horner over all 36 terms, which matters when two threads share the
+    interpreter lock.
     """
-    x = math.sqrt(c) * np.asarray(r, dtype=float)
-    out = np.ones_like(x)
-    small = x < 1e-6
-    out[small] = 1.0 - x[small] ** 2 / 8.0
-    xs = x[~small]
-    if xs.size:
-        # loaded here, not at import: c = 0 callers never need scipy
-        from scipy.special import i1
-        out[~small] = xs / (2.0 * i1(xs))
+    u = t * t * t
+    u *= u
+    p = coefs[5][:, None] * u
+    p += coefs[4][:, None]
+    for row in coefs[3::-1]:
+        p *= u
+        p += row[:, None]
+    q = p[5] * t
+    for part in p[4:0:-1]:
+        q += part
+        q *= t
+    q += p[0]
+    return q
+
+
+def _survival_factor(r: np.ndarray, c: float) -> np.ndarray:
+    """E[exp(-c tau)] for exit from a sphere of radius r in R^4, r 1-d.
+
+    Closed form S(x) = x / (2 I_1(x)) with x = sqrt(c) r: one over the power
+    series of 2 I_1(x) / x for x < 20, the scaled Hankel expansion above,
+    where S underflows to 0.0 (x = inf included).  Relative error below
+    1e-14 against scipy.special.i1 on [1e-6, 700]; each element's value
+    depends on that element alone.
+    """
+    with np.errstate(over="ignore"):  # an x of inf gives S = 0.0
+        x = math.sqrt(c) * np.asarray(r, dtype=float)
+    # the series runs on every element, capped at the switch; the Hankel
+    # expansion then overwrites those at or past it
+    xs = np.minimum(x, _SWITCH)
+    out = 1.0 / _poly(_SERIES, xs * xs / 4.0)
+    big = np.flatnonzero(x >= _SWITCH)
+    if len(big):
+        # S is 0.0 past x = 746, so the cap changes no value and keeps
+        # inf * 0 out of the product; with e^-x split in halves, only the
+        # last product can be subnormal, and one rounding there keeps S
+        # non-increasing
+        xb = np.minimum(x[big], 1e3)
+        half = np.exp(-0.5 * xb)
+        out[big] = (half * xb * np.sqrt(xb) * math.sqrt(math.pi / 2.0)
+                    / _poly(_HANKEL, 1.0 / xb) * half)
     return out
 
 
@@ -340,6 +398,12 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             live = live[due:]
 
 
+def _require_seed(seed) -> None:
+    """The check of a walk seed: an integer >= 0."""
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed}")
+
+
 def _stderr(x: np.ndarray) -> float:
     """Standard error of the mean of x; 0.0 for a single sample."""
     return float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
@@ -373,8 +437,7 @@ def _contributions(domain, pole, n_walks: int, seed: int,
     queue and is raised once every thread has stopped.
     """
     _require_samples(n_walks, "n_walks")
-    if not _is_int(seed) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed}")
+    _require_seed(seed)
     _require_nonneg(c_weight, "c_weight")
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,) or not np.isfinite(pole).all():
@@ -461,7 +524,7 @@ def ball_oracle(R: float, c: float = 0.0) -> float:
         raise InvalidInputError(f"R must be finite and > 0, got {R}")
     _require_nonneg(c, "c")
     with np.errstate(over="ignore", divide="ignore"):
-        return float(-_survival_factor(R, c) / np.square(R))
+        return float(-_survival_factor(np.array([R]), c)[0] / np.square(R))
 
 
 def half_space_oracle(d: float) -> float:
@@ -489,6 +552,10 @@ def product_half_plane_oracle(theta: float) -> float:
 class ExperimentBudget:
     n_walks: int = 20000
     seed: int = 0
+
+    def __post_init__(self):
+        _require_samples(self.n_walks, "n_walks")
+        _require_seed(self.seed)
 
 
 @dataclass(frozen=True)

@@ -182,6 +182,33 @@ class TestRobinCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_robin_huge_ball_exit_2(self, capsys):
+        # its squared diameter overflows: this used to exit 0 with
+        # lambda_hat = -1e8, and NaN, not JSON, under --c-weight 1e300
+        code = main(["robin", "--shape", "ball", "--radius", "1e300",
+                     "--center", "0", "0", "0", "0", "--pole", "0", "0", "0",
+                     "0", "--n-walks", "10", "--c-weight", "1e300"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: radius must be at most 6.7e+153, "
+                                "got 1e+300\n")
+
+    @pytest.mark.parametrize("cmd", [
+        ["boundary-exp", "--anchor", "1.2,0,1.2,0"],
+        ["psh-check", "--anchor", "1.2,0,1.2,0", "--direction", "0,0,1,0"]])
+    @pytest.mark.parametrize("flag, message", [
+        ("--seed=-1", "seed must be an integer >= 0, got -1"),
+        ("--n-walks=0", "n_walks must be >= 1, got 0")])
+    def test_bad_budget_exit_2(self, capsys, cmd, flag, message):
+        # a negative seed used to print numpy's "expected non-negative
+        # integer"
+        code = main([cmd[0], *_BAND, *cmd[1:], flag])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
     def test_nemirovskii_verify(self, capsys):
         code, doc = run_cli(capsys, "nemirovskii-verify", "--a-re", "2",
                             "--b-re", "4", "--n-samples", "200")

@@ -191,9 +191,9 @@ class TestDistanceToIdentity:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
-    def test_unscreened_paths_leave_scipy_out(self):
-        # only a screened (c > 0) survival factor needs scipy's I_1; the
-        # first one loads it, with the bits of the in-process value
+    def test_no_path_loads_scipy(self):
+        # scipy is a test dependency only: no walk, screened or not, and no
+        # oracle loads it, and a fresh process gives the in-process bits
         import hopfsurf
         from hopfsurf.robin import ball_oracle
         src = os.path.dirname(os.path.dirname(hopfsurf.__file__))
@@ -207,12 +207,12 @@ class TestDistanceToIdentity:
             "assert cli.main(['reduce', '--a-re', '2', '--b-re', '3',",
             "                 '--z-re', '64', '--w-re', '121.5']) == 0",
             # 10 blocks of 4,096 walks, streamed through two live sets
-            "robin_constant(HalfSpace((0.0, 0.0, 1.0, 0.0), 0.0),",
-            "               identity_point(), 40_000, 3)",
+            "for c in (0.0, 0.5):",
+            "    robin_constant(HalfSpace((0.0, 0.0, 1.0, 0.0), 0.0),",
+            "                   identity_point(), 40_000, 3, c_weight=c)",
             "ball_oracle(1.0)",
-            "assert 'scipy' not in sys.modules, 'c = 0 loaded scipy'",
             "value = ball_oracle(1.0, c=0.5)",
-            "assert 'scipy.special' in sys.modules",
+            "assert 'scipy' not in sys.modules",
             "print(value.hex())",
         ])
         env = dict(os.environ, PYTHONPATH=src)

@@ -65,6 +65,9 @@ class TestOracles:
     def test_ball_oracle_is_total_at_extreme_radii(self):
         assert ball_oracle(1e200) == 0.0 and ball_oracle(1e-200) == -math.inf
         assert ball_oracle(1e200, c=1.0) == 0.0
+        # sqrt(c) R overflows to inf, where S is 0.0, not inf / inf
+        value = ball_oracle(1e300, c=1e300)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
 
     @pytest.mark.parametrize("R, c", [
         (0.0, 0.0), (-1.0, 0.0), (math.nan, 0.0), (math.inf, 0.0),
@@ -83,6 +86,36 @@ class TestOracles:
     def test_product_half_plane_oracle_rejects(self, theta):
         with pytest.raises(InvalidInputError):
             product_half_plane_oracle(theta)
+
+
+def _switch_neighbours(n=20):
+    """robin._SWITCH and the n floats on each side of it."""
+    lo = hi = robin._SWITCH
+    out = [lo]
+    for _ in range(n):
+        lo, hi = np.nextafter(lo, 0.0), np.nextafter(hi, math.inf)
+        out += [lo, hi]
+    return np.array(out)
+
+
+class TestSurvivalFactor:
+    def test_matches_scipy_bessel(self):
+        # the reference x / (2 I_1(x)) from scipy, which only tests import
+        from scipy.special import i1
+        x = np.concatenate([np.geomspace(1e-6, 700.0, 200_001),
+                            _switch_neighbours()])
+        want = x / (2.0 * i1(x))
+        assert np.max(np.abs(_survival_factor(x, 1.0) / want - 1.0)) <= 1e-14
+
+    def test_total_and_non_increasing(self):
+        x = np.array([0.0, 1e-7, 745.0, 1e300, math.inf])
+        s = _survival_factor(x, 1.0)
+        assert np.isfinite(s).all() and ((0.0 <= s) & (s <= 1.0)).all()
+        assert s[0] == 1.0 and s[-1] == 0.0
+        assert _survival_factor(np.array([1e300]), 1e300)[0] == 0.0
+        grid = np.sort(np.concatenate([x, np.geomspace(1e-8, 1e4, 100_001),
+                                       _switch_neighbours()]))
+        assert (np.diff(_survival_factor(grid, 1.0)) <= 0.0).all()
 
 
 class TestRobinConstant:
@@ -406,8 +439,8 @@ class TestThreadedWaves:
         assert got == want and want.escaped_walks > 0
 
     def test_first_screened_call_in_a_fresh_process(self, monkeypatch):
-        # the first c > 0 step imports scipy's I_1, on whichever thread
-        # steps it; the estimate must not depend on the thread count
+        # a screened walk on two threads in a new interpreter gives the
+        # bits of one on the calling thread alone
         import hopfsurf
         src = os.path.dirname(os.path.dirname(hopfsurf.__file__))
         code = "\n".join([
@@ -558,10 +591,30 @@ class TestWosInputValidation:
     @pytest.mark.parametrize("kw", [
         {"radius": math.nan}, {"radius": math.inf}, {"radius": 0.0},
         {"radius": -1.0}, {"center": (0.0, 0.0, 0.0)},
-        {"center": (math.nan, 0.0, 0.0, 0.0)}])
+        {"center": (math.nan, 0.0, 0.0, 0.0)}, {"radius": 1e300},
+        {"radius": float(np.nextafter(robin._MAX_RADIUS, math.inf))}])
     def test_ball_rejected(self, kw):
         with pytest.raises(InvalidInputError):
             Ball(**{"center": (0.0, 0.0, 0.0, 0.0), "radius": 1.0, **kw})
+
+    def test_largest_ball_walks_without_overflow(self):
+        # one block, so every step runs on this thread, under this errstate
+        R = robin._MAX_RADIUS
+        ball = Ball(center=(0.0, 0.0, 0.0, 0.0), radius=R)
+        with np.errstate(over="raise", invalid="raise"):
+            est = robin_constant(ball, np.zeros(4), 500, 2)
+            off = robin_constant(ball, np.array([0.0, 0.0, 0.9 * R, 0.0]),
+                                 500, 2, config=WosConfig(r_max_factor=1.05))
+        assert est.lambda_hat == pytest.approx(ball_oracle(R), rel=1e-12)
+        assert off.escaped_walks > 0 and off.lambda_hat < 0.0
+
+    @pytest.mark.parametrize("kw", [
+        {"n_walks": 0}, {"n_walks": 2.5}, {"n_walks": True}, {"seed": -1},
+        {"seed": 2.5}, {"seed": "a"}, {"seed": True}])
+    def test_budget_rejected(self, kw):
+        # these used to reach numpy's SeedSequence, or ran (seed=True)
+        with pytest.raises(InvalidInputError):
+            ExperimentBudget(**kw)
 
     @pytest.mark.parametrize("kw", [
         {"normal": (0.0, 0.0, math.nan, 0.0)},
