@@ -39,7 +39,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (CaseError, EvaluationError, InvalidInputError,
-                     PreconditionError, _require_samples, _require_nonneg)
+                     PreconditionError, _require_samples, _require_nonneg,
+                     _require_seed)
 from .invariants import HopfParams, InvariantSet, _arg01
 from .quotient import (_in_fundamental_domain, _log_modulus, _modulus,
                        reduce_point, reduce_points)
@@ -406,8 +407,8 @@ def _curves_distance(ks: list[float], rho: float) -> float:
 
 class TranslatedDomain:
     """Base of the recentered kinds: residual(xi, eta), distance_bounds and
-    wos_domain.  The walk-on-spheres shapes come from robin, imported
-    inside wos_domain because robin imports this module."""
+    wos_domain, the domain robin walks on.  A ModulusRegion walks itself;
+    a ProductHalfPlane builds its wall in robin."""
 
     theta: Optional[float] = None  # angular offset, half-plane kinds only
 
@@ -431,7 +432,7 @@ class ProductHalfPlane(TranslatedDomain):
         return (d, d)
 
     def wos_domain(self):
-        from .robin import half_space_from_theta
+        from .robin import half_space_from_theta  # robin imports this module
         return half_space_from_theta(self.theta)
 
 
@@ -442,6 +443,7 @@ class ModulusRegion(TranslatedDomain):
     log_k1: float
     log_k2: float
     rho: float
+    thread_safe = True  # not a dataclass field; see robin._contributions
 
     def residual(self, xi: complex, eta: complex) -> float:
         return _interval_residual(_log_ratio(xi, eta, self.rho), self.log_k1,
@@ -456,7 +458,7 @@ class ModulusRegion(TranslatedDomain):
         best = _curves_distance(ks, self.rho)
         return (best - _DIST_TOL, best + _DIST_TOL)
 
-    def wos_domain(self):
+    def distance(self, x: np.ndarray) -> np.ndarray:
         """Certified lower bound on the distance to the boundary in R^4.
 
         With s1 = |xi|, s2 = |eta|, F = log s2 - rho log s1 and L =
@@ -468,23 +470,24 @@ class ModulusRegion(TranslatedDomain):
         rho r1/(s1 - r) <= r L / (1 - r/s1), which is < gap exactly when
         r < gap / (L + gap/s1); the lower end is the same with s2.
         """
-        from .robin import GenericSolvable
         lo, hi, rho = self.log_k1, self.log_k2, self.rho
+        x = np.atleast_2d(x)
+        s1, s2 = np.hypot(x[:, 0], x[:, 1]), np.hypot(x[:, 2], x[:, 3])
+        out = np.full(len(x), np.inf)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            F = np.log(s2) - rho * np.log(s1)
+            L = np.hypot(rho / s1, 1.0 / s2)
+            for end, gap, s in ((hi, hi - F, s1), (lo, F - lo, s2)):
+                if math.isfinite(end):
+                    gap = np.maximum(gap, 0.0)  # 0 outside, NaN kept
+                    out = np.minimum(out, gap / (L + gap / s))
+        return np.where(np.isnan(out), 0.0, out)
 
-        def dist(x):
-            x = np.atleast_2d(x)
-            s1, s2 = np.hypot(x[:, 0], x[:, 1]), np.hypot(x[:, 2], x[:, 3])
-            out = np.full(len(x), np.inf)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                F = np.log(s2) - rho * np.log(s1)
-                L = np.hypot(rho / s1, 1.0 / s2)
-                for end, gap, s in ((hi, hi - F, s1), (lo, F - lo, s2)):
-                    if math.isfinite(end):
-                        gap = np.maximum(gap, 0.0)  # 0 outside, NaN kept
-                        out = np.minimum(out, gap / (L + gap / s))
-            return np.where(np.isnan(out), 0.0, out)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return x  # a walk ends within eps_shell of the boundary
 
-        return GenericSolvable(distance_fn=dist)
+    def wos_domain(self):
+        return self
 
 
 @dataclass(frozen=True)
@@ -596,6 +599,7 @@ def tangency_check(spec, X: VectorField, n_samples: int, t_grid,
     """
     _require_samples(n_samples)
     _require_nonneg(tol)
+    _require_seed(seed)
     if not len(t_grid):
         raise InvalidInputError("t_grid must not be empty")
     rng = np.random.default_rng(seed)
@@ -675,6 +679,7 @@ def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
     n_samples >= 1 points each; zero failures expected.
     """
     _require_samples(n_samples)
+    _require_seed(seed)
     _require_real_b(params)
     rng = np.random.default_rng(seed)
     la, lb = params.log_abs_a, math.log(params.b.real)

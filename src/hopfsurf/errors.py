@@ -44,6 +44,12 @@ def _require_samples(n: int, name: str = "n_samples", least: int = 1) -> None:
         raise InvalidInputError(f"{name} must be >= {least}, got {n}")
 
 
+def _require_seed(seed) -> None:
+    """The one check of a seed: an integer >= 0."""
+    if not _is_int(seed) or seed < 0:
+        raise InvalidInputError(f"seed must be an integer >= 0, got {seed}")
+
+
 def _require_nonneg(x: float, name: str = "tol") -> None:
     if not (math.isfinite(x) and x >= 0.0):
         raise InvalidInputError(f"{name} must be finite and >= 0, got {x}")

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import (EvaluationError, InvalidInputError, PreconditionError,
-                     _require_samples, _require_nonneg)
+                     _require_samples, _require_nonneg, _require_seed)
 from .invariants import HopfParams
 from .poly import ZERO, RealPoly2
 from . import domains as _dom
@@ -160,6 +160,7 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
     """
     _require_samples(n_samples)
     _require_nonneg(tol)
+    _require_seed(seed)
     rng = np.random.default_rng(seed)
     pts = _dom._boundary_samples(spec, n_samples, params, inv, rng)
     if not pts:
@@ -376,6 +377,7 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
     InvalidInputError for n_w_samples < 1.
     """
     _require_samples(n_w_samples, "n_w_samples")
+    _require_seed(seed)
     p0 = model.coeff(0)
     probe = np.abs(p0(0.5 * r1 * _UNIT[::_CIRCLE_GRID // 64])).max()
     if probe <= 1e-14:

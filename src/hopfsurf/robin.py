@@ -30,11 +30,11 @@ qualitative estimate left in this module.
 
 Walks run in blocks that own their random streams.  Each thread streams
 blocks through one live set: a block joins, its walks at the pole, whenever
-a whole block fits, and every step moves all live walks at once.  For the
-built-in domain types, one robin_constant call runs on one thread per CPU
-in the process's affinity mask, at most 2, with at most 32,768 walks in
-flight across all threads (or one block per thread, if blocks are larger);
-the estimate is the same, bit for bit, for any number of CPUs.
+a whole block fits, and every step moves all live walks at once.  On a
+domain that declares thread_safe, one robin_constant call runs on one
+thread per CPU in the process's affinity mask, at most 2, with at most
+32,768 walks in flight across all threads (or one block per thread, if
+blocks are larger); the estimate has the same bits for any CPU count.
 """
 
 from __future__ import annotations
@@ -43,12 +43,12 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import (EvaluationError, InvalidInputError, _is_int,
-                     _require_nonneg, _require_samples)
+                     _require_nonneg, _require_samples, _require_seed)
 from . import domains as _domains
 
 KERNEL_NORMALIZATION = "G(x) = |x - pole|^-2 + lambda + o(1)"
@@ -73,6 +73,7 @@ _MAX_RADIUS = math.sqrt(np.finfo(float).max) / 2.0
 class Ball:
     center: tuple
     radius: float
+    thread_safe = True  # not a dataclass field; see _contributions
 
     def __post_init__(self):
         if not (math.isfinite(self.radius) and self.radius > 0):
@@ -102,6 +103,7 @@ class HalfSpace:
 
     normal: tuple
     offset: float = 0.0
+    thread_safe = True  # not a dataclass field; see _contributions
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
@@ -125,21 +127,6 @@ class HalfSpace:
 
     def project(self, x: np.ndarray) -> np.ndarray:
         return x - self.distance(x)[..., None] * np.asarray(self.normal)
-
-
-@dataclass(frozen=True)
-class GenericSolvable:
-    """Caller-supplied vectorized inscribed-sphere radius; no projection.
-    distance_fn must give each row the bits of a one-row call on it, and
-    may be called from several threads at once, each call on its own rows."""
-
-    distance_fn: Callable  # (B, 4) -> (B,) lower bound on boundary distance
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.distance_fn(x), dtype=float)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x
 
 
 def half_space_from_theta(theta: float) -> HalfSpace:
@@ -290,11 +277,6 @@ except AttributeError:  # no affinity call on this platform
 # have been measured
 _WORKERS = min(2, _CPUS)
 
-# domain types whose distance and project may run on several threads at
-# once; any other domain object (a wrapper that keeps state between calls,
-# say) has all its blocks stepped on the calling thread
-_THREADED_DOMAINS = (Ball, HalfSpace, GenericSolvable)
-
 
 def _escape_reach(pole, r_max, max_steps):
     """Path length below which a walk cannot have reached r_max.
@@ -398,15 +380,15 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             live = live[due:]
 
 
-def _require_seed(seed) -> None:
-    """The check of a walk seed: an integer >= 0."""
-    if not _is_int(seed) or seed < 0:
-        raise InvalidInputError(f"seed must be an integer >= 0, got {seed}")
-
-
 def _stderr(x: np.ndarray) -> float:
-    """Standard error of the mean of x; 0.0 for a single sample."""
-    return float(np.std(x, ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+    """Standard error of the mean of x; 0.0 for a single sample.  x is
+    scaled by the power of two that brings max|x| into [0.5, 1), and the
+    result back: exact, and no squared deviation of tiny x underflows."""
+    if len(x) < 2:
+        return 0.0
+    k = math.frexp(float(np.max(np.abs(x))))[1]
+    se = np.std(np.ldexp(x, -k), ddof=1) / math.sqrt(len(x))
+    return math.ldexp(float(se), k)
 
 
 def _contributions(domain, pole, n_walks: int, seed: int,
@@ -424,11 +406,12 @@ def _contributions(domain, pole, n_walks: int, seed: int,
     project give each row of an (n, 4) call the bits of a one-row call on
     it, whatever n: every built-in domain does.
 
-    A domain whose type is Ball, HalfSpace or GenericSolvable (not a
-    subclass) has its blocks run on _WORKERS threads, the calling one among
-    them, one per CPU in the process's affinity mask and at most 2; numpy
-    releases the GIL inside its array loops, so the threads overlap.  Any
-    other domain object runs on the calling thread alone.  A thread's live
+    A domain that declares thread_safe = True (Ball, HalfSpace and
+    ModulusRegion do), so that its distance and project may run on several
+    threads at once, has its blocks run on _WORKERS threads, the calling one
+    among them, one per CPU in the process's affinity mask and at most 2;
+    numpy releases the GIL inside its array loops, so the threads overlap.
+    Any other domain object runs on the calling thread alone.  A thread's live
     set holds at most _WAVE_WALKS // workers walks or one block, whichever
     is more, so at most max(_WAVE_WALKS, workers * block_size) walks are in
     flight; its first fill takes at most its even share of the blocks.
@@ -452,7 +435,7 @@ def _contributions(domain, pole, n_walks: int, seed: int,
 
     bs = config.block_size
     n_blocks = -(-n_walks // bs)
-    workers = min(_WORKERS if type(domain) in _THREADED_DOMAINS else 1,
+    workers = min(_WORKERS if getattr(domain, "thread_safe", False) else 1,
                   n_blocks)
     cap = max(_WAVE_WALKS // workers, bs)
     first = min(cap, -(-n_blocks // workers) * bs)

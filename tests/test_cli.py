@@ -209,6 +209,22 @@ class TestRobinCommands:
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("argv", [
+        ["nemirovskii-verify", "--a-re", "2", "--b-re", "4"],
+        ["tangency", "--a-re", "2", "--b-re", "3", "--domain", "level-band",
+         "--k1", "0.5", "--k2", "2", "--unit-field"],
+        ["levi-scan", "--a-re", "2", "--b-re", "3", "--domain",
+         "level-band", "--k1", "0.5", "--k2", "2"],
+        ["sweep-cover", "--p0", "[[2,0,1],[0,2,1]]"]])
+    def test_bad_seed_exit_2(self, capsys, argv):
+        # these used to print numpy's "expected non-negative integer"
+        code = main([*argv, "--seed=-1"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: seed must be an integer >= 0, "
+                                "got -1\n")
+
     def test_nemirovskii_verify(self, capsys):
         code, doc = run_cli(capsys, "nemirovskii-verify", "--a-re", "2",
                             "--b-re", "4", "--n-samples", "200")

@@ -253,6 +253,14 @@ class TestTangency:
             tangency_check(LevelBand(0.5, 2.0), unit_field(P23), n,
                            [0.5], 1e-9, P23, seed=3, inv=INV23)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_bad_seed(self, seed):
+        # -1 and 2.5 used to reach numpy's default_rng; True ran
+        with pytest.raises(InvalidInputError,
+                           match=f"seed must be an integer >= 0, got {seed}"):
+            tangency_check(LevelBand(0.5, 2.0), unit_field(P23), 5,
+                           [0.5], 1e-9, P23, seed=seed, inv=INV23)
+
     def test_rejects_empty_time_grid(self):
         # no time flows no point, which read as tangential
         with pytest.raises(InvalidInputError,
@@ -330,6 +338,14 @@ class TestNemirovskiiQuotient:
     def test_rejects_bad_sample_counts(self, n):
         with pytest.raises(InvalidInputError, match="n_samples"):
             verify_nemirovskii_quotient(P24, n, seed=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_bad_seed(self, seed):
+        # -1 raised numpy's "expected non-negative integer", 2.5 a TypeError,
+        # and True ran
+        with pytest.raises(InvalidInputError,
+                           match=f"seed must be an integer >= 0, got {seed}"):
+            verify_nemirovskii_quotient(P24, 5, seed=seed)
 
 
 class TestHausdorffContinuity:

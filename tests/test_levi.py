@@ -127,6 +127,14 @@ class TestPseudoconvexityScan:
             pseudoconvexity_scan(LevelBand(0.5, 2.0), n, 1e-6, P23, 7,
                                  inv=INV23)
 
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_bad_seed(self, seed):
+        # -1 and 2.5 used to reach numpy's default_rng; True ran
+        with pytest.raises(InvalidInputError,
+                           match=f"seed must be an integer >= 0, got {seed}"):
+            pseudoconvexity_scan(LevelBand(0.5, 2.0), 5, 1e-6, P23, seed,
+                                 inv=INV23)
+
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
     def test_rejects_bad_tol(self, tol):
         # a negative tol flags the Levi-flat band boundary everywhere, inf
@@ -294,6 +302,13 @@ class TestSweepCover:
         with pytest.raises(InvalidInputError,
                            match=f"n_w_samples must be >= 1, got {n}"):
             sweep_cover_check(model, 1.0, n_w_samples=n)
+
+    @pytest.mark.parametrize("seed", [-1, 2.5, True])
+    def test_rejects_bad_seed(self, seed):
+        model = BoundaryModel(p=(RealPoly2({(2, 0): 1.0, (0, 2): 1.0}),))
+        with pytest.raises(InvalidInputError,
+                           match=f"seed must be an integer >= 0, got {seed}"):
+            sweep_cover_check(model, 1.0, seed=seed)
 
     def test_one_w_sample_accepted(self):
         model = BoundaryModel(p=(RealPoly2({(2, 0): 1.0, (0, 2): 1.0}),))

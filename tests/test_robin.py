@@ -19,10 +19,9 @@ from hopfsurf.domains import (ImplicitDomain, LevelBand, Nemirovskii,
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf import domains, robin
-from hopfsurf.robin import (Ball, ExperimentBudget, GenericSolvable,
-                            HalfSpace, WosConfig, _escape_reach, _walk_blocks,
-                            _survival_factor, ball_oracle,
-                            boundary_behavior_experiment,
+from hopfsurf.robin import (Ball, ExperimentBudget, HalfSpace, WosConfig,
+                            _escape_reach, _walk_blocks, _survival_factor,
+                            ball_oracle, boundary_behavior_experiment,
                             half_space_from_theta, half_space_oracle,
                             identity_point, kernel, product_half_plane_oracle,
                             psh_spot_check, robin_constant,
@@ -182,6 +181,22 @@ HS = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
 OFF_BALL = Ball(center=(1.3, 0.1, 0.8, 0.0), radius=1.0)
 # two nonzero normal components: a one-row matmul rounds differently
 PLANE = half_space_from_theta(math.pi / 3)
+# a translated modulus region, its own walk domain
+BAND = translate_domain(LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j),
+                        HopfParams(2 + 0j, 3 + 0j))
+
+
+class Solvable:
+    """A walk domain on a given distance function, with no projection,
+    that declares itself safe to run on several threads."""
+
+    thread_safe = True
+
+    def __init__(self, distance):
+        self.distance = distance
+
+    def project(self, x):
+        return x
 
 
 class CountingDomain:
@@ -402,7 +417,8 @@ class TestThreadedWaves:
         (OFF_BALL, 5, 0.0, WosConfig(block_size=1024)),
         (HS, 1, 0.5, WosConfig(block_size=1024)),
         (HS, 0, 0.0, WosConfig(block_size=1024, max_steps=5)),
-        (HS, 7, 0.0, WosConfig(block_size=1024, r_max_factor=3.0))])
+        (HS, 7, 0.0, WosConfig(block_size=1024, r_max_factor=3.0)),
+        (BAND, 6, 0.0, WosConfig(block_size=1024))])
     def test_same_estimate_for_any_worker_count(self, monkeypatch, domain,
                                                 seed, c, cfg):
         ref = masked_estimate(domain, E, 4097, seed, c, cfg)
@@ -477,7 +493,8 @@ class TestThreadedWaves:
 
     def test_other_domain_types_step_on_the_calling_thread(self,
                                                            monkeypatch):
-        # a wrapper may keep state between calls, as CountingDomain does
+        # a wrapper may keep state between calls, as CountingDomain does,
+        # and a subclass of a built-in type may opt out of threads
         monkeypatch.setattr(robin, "_WORKERS", 2)
         monkeypatch.setattr(robin, "_WAVE_WALKS", 2048)
         threads = set()
@@ -487,15 +504,25 @@ class TestThreadedWaves:
                 threads.add(threading.get_ident())
                 return super().distance(x)
 
+        class OptedOut(HalfSpace):
+            thread_safe = False
+
+            def distance(self, x):
+                threads.add(threading.get_ident())
+                return super().distance(x)
+
         cfg = WosConfig(block_size=1024)
-        est = robin_constant(Wrapped(HS), E, 4097, 3, config=cfg)
-        assert threads == {threading.get_ident()}
-        assert est == robin_constant(HS, E, 4097, 3, config=cfg)
+        for dom in (Wrapped(HS), OptedOut(HS.normal, HS.offset)):
+            threads.clear()
+            est = robin_constant(dom, E, 4097, 3, config=cfg)
+            assert threads == {threading.get_ident()}
+            assert est == robin_constant(HS, E, 4097, 3, config=cfg)
 
     @staticmethod
     def failing_helper(delay):
         """A half-space whose distance fails, after `delay` seconds, on a
-        helper thread's first step.  The calling thread waits for that step
+        helper thread's first step, so only a domain that declares
+        thread_safe raises.  The calling thread waits for that step
         before it steps, so each thread holds a block."""
         caller = threading.get_ident()
         stepped = threading.Event()
@@ -509,7 +536,7 @@ class TestThreadedWaves:
                 assert stepped.wait(10)
             return HS.distance(x)
 
-        return GenericSolvable(dist)
+        return Solvable(dist)
 
     # one block of 1,024 walks per live set: 2,053 walks make three blocks
     @pytest.mark.parametrize("delay", [0.0, 0.3])
@@ -551,7 +578,7 @@ class TestThreadedWaves:
             return HS.distance(x)
 
         with pytest.raises(EvaluationError, match="a helper failed"):
-            robin_constant(GenericSolvable(dist), E, 6400, 0,
+            robin_constant(Solvable(dist), E, 6400, 0,
                            config=WosConfig(block_size=64))
         assert threading.active_count() == before
         assert at_pole[0] == 64 and sum(at_pole) == 64
@@ -626,9 +653,23 @@ class TestWosInputValidation:
             HalfSpace(**{"normal": (0.0, 0.0, 1.0, 0.0), **kw})
 
     def test_non_finite_pole_distance_rejected(self):
-        dom = GenericSolvable(lambda x: np.full(len(x), math.inf))
+        dom = Solvable(lambda x: np.full(len(x), math.inf))
         with pytest.raises(InvalidInputError):
             robin_constant(dom, E, 100, 0)
+
+
+class TestStderr:
+    def test_power_of_two_scaling_is_exact(self):
+        # squared deviations near 1e-600 used to underflow to 0.0
+        x = np.random.default_rng(8).uniform(0.5, 2.0, 100)
+        se = robin._stderr(x)
+        for k in range(-1000, 1001):
+            assert robin._stderr(x * 2.0**k) == se * 2.0**k
+
+    def test_huge_ball_reports_a_stderr(self):
+        est = robin_constant(Ball((0.0, 0.0, 0.0, 0.0), 1e150),
+                             (0.0, 0.0, 5e149, 0.0), 2000, 1)
+        assert 0.0 < est.stderr < -est.lambda_hat
 
 
 class TestScalingLaw:
