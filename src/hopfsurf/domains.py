@@ -20,13 +20,16 @@ on the reduced representative and classify(inv), its table row, and may
 override smooth_residual(point, params, inv), the branch Levi scans
 difference (default: its own residual at the unreduced point; the level
 kinds override it to pick one branch of their max), translate(anchor,
-params, inv) (default: a GenericTranslate) and boundary_point(z, params,
-inv, rng) (default: bisection along |w|).
+params, inv) (default: EvaluationError naming the kind) and
+boundary_point(z, params, inv, rng) (default: bisection along |w|).
 
 Translation moves a domain to a reference frame centered at an anchor point
-(coordinatewise division), which turns the Nemirovskii family into a
-half-plane in the w-coordinate whose distance to the identity is exactly
-cos(theta), theta the anchor's angular offset inside the half-plane.
+(coordinatewise division).  The level kinds become a ModulusRegion; the
+Nemirovskii family becomes a ProductHalfPlane, a half-plane in the
+w-coordinate whose distance to the identity is exactly cos(theta), theta the
+anchor's angular offset inside the half-plane.  Each translate is its own
+thread_safe walk domain in R^4 (distance and project per row); a
+ProductHalfPlane walks on its HalfSpace wall, defined here.
 """
 
 from __future__ import annotations
@@ -108,9 +111,8 @@ class DomainSpec:
         return lambda zz, ww: self.residual(zz, ww, params, inv)
 
     def translate(self, anchor, params, inv) -> TranslatedDomain:
-        z0, w0 = complex(anchor[0]), complex(anchor[1])
-        return GenericTranslate(residual_fn=lambda xi, eta: evaluate_domain(
-            self, (xi * z0, eta * w0), params, inv).residual)
+        raise EvaluationError(f"{type(self).__name__} has no walkable "
+                              "translate")
 
     def boundary_point(self, z, params, inv, rng):
         """Bisect along |w| between inside and outside samples, or None."""
@@ -195,8 +197,8 @@ class LevelBand(LevelUnion):
     k2: float
 
     def __post_init__(self):
-        if not (0.0 < self.k1 < self.k2):
-            raise InvalidInputError("need 0 < k1 < k2")
+        if not (0.0 < self.k1 < self.k2 < math.inf):
+            raise InvalidInputError("need 0 < k1 < k2, both finite")
         object.__setattr__(self, "log_bounds",
                            (math.log(self.k1), math.log(self.k2)))
 
@@ -210,8 +212,8 @@ class SubLevel(LevelUnion):
     k: float
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise InvalidInputError("need k > 0")
+        if not 0.0 < self.k < math.inf:
+            raise InvalidInputError("need a finite k > 0")
         object.__setattr__(self, "log_bounds", (-math.inf, math.log(self.k)))
 
     def classify(self, inv):
@@ -223,8 +225,8 @@ class SuperLevel(LevelUnion):
     k: float
 
     def __post_init__(self):
-        if not self.k > 0.0:
-            raise InvalidInputError("need k > 0")
+        if not 0.0 < self.k < math.inf:
+            raise InvalidInputError("need a finite k > 0")
         object.__setattr__(self, "log_bounds", (math.log(self.k), math.inf))
 
     def classify(self, inv):
@@ -285,8 +287,8 @@ class Nemirovskii(DomainSpec):
 
     def __post_init__(self):
         n = math.hypot(self.A, self.B)
-        if n == 0.0:
-            raise InvalidInputError("(A, B) must be nonzero")
+        if not 0.0 < n < math.inf:
+            raise InvalidInputError("(A, B) must be finite and nonzero")
         A, B = self.A / n, self.B / n
         if A < 0.0 or (A == 0.0 and B < 0.0):
             raise InvalidInputError(
@@ -357,12 +359,8 @@ def evaluate_domain(spec, pt, params: HopfParams,
 # translation
 
 
-# distance_bounds: rays cast from the identity for generic translates (seeded),
-# their search radius, and the bracket tolerance of every kind
-_DIST_RAYS = 64
-_DIST_R_MAX = 4.0
+# the bracket tolerance of ModulusRegion.distance_bounds
 _DIST_TOL = 1e-10
-_DIST_SEED = 0
 # ModulusRegion: cells of the global foot-point search, samples per zoom
 _DIST_GRID = np.linspace(0.0, 1.0, 129)
 _DIST_ZOOM = np.linspace(0.0, 1.0, 65)
@@ -405,23 +403,63 @@ def _curves_distance(ks: list[float], rho: float) -> float:
     return float(best)
 
 
+@dataclass(frozen=True)
+class HalfSpace:
+    """{x : <x, normal> > offset}."""
+
+    normal: tuple
+    offset: float = 0.0
+    thread_safe = True  # not a dataclass field; see robin._contributions
+
+    def __post_init__(self):
+        n = np.asarray(self.normal, dtype=float)
+        if n.shape != (4,) or not np.isfinite(n).all():
+            raise InvalidInputError(f"normal must be a finite 4-vector, "
+                                    f"got {self.normal}")
+        if not math.isfinite(self.offset):
+            raise InvalidInputError(f"offset must be finite, got {self.offset}")
+        nn = np.linalg.norm(n)
+        if nn == 0:
+            raise InvalidInputError("normal must be nonzero")
+        object.__setattr__(self, "normal", tuple(n / nn))
+
+    def distance(self, x: np.ndarray) -> np.ndarray:
+        # a column sum in a written order, not a matmul or einsum: basic IEEE
+        # operations only, so no row count and no CPU's SIMD reduction order
+        # can change a row's bits
+        n0, n1, n2, n3 = self.normal
+        return ((x[..., 0] * n0 + x[..., 2] * n2)
+                + (x[..., 1] * n1 + x[..., 3] * n3) - self.offset)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return x - self.distance(x)[..., None] * np.asarray(self.normal)
+
+
+def half_space_from_theta(theta: float) -> HalfSpace:
+    """The half-plane product domain {Re(eta e^{i theta}) > 0} as a wall in R^4."""
+    if not math.isfinite(theta):
+        raise InvalidInputError(f"theta must be finite, got {theta}")
+    return HalfSpace(normal=(0.0, 0.0, math.cos(theta), -math.sin(theta)),
+                     offset=0.0)
+
+
 class TranslatedDomain:
-    """Base of the recentered kinds: residual(xi, eta), distance_bounds and
-    wos_domain, the domain robin walks on.  A ModulusRegion walks itself;
-    a ProductHalfPlane builds its wall in robin."""
+    """Base of the recentered kinds: residual(xi, eta), distance_bounds,
+    and the walk-domain methods distance(x) and project(x)."""
 
     theta: Optional[float] = None  # angular offset, half-plane kinds only
-
-    def wos_domain(self):
-        raise EvaluationError("no walk-on-spheres adapter for "
-                              f"{type(self).__name__}")
+    thread_safe = True  # not a dataclass field; see robin._contributions
 
 
 @dataclass(frozen=True)
 class ProductHalfPlane(TranslatedDomain):
-    """C*_xi times a half-plane through 0 in eta; identity at angle theta."""
+    """C*_xi times a half-plane through 0 in eta; identity at angle theta.
+    It walks on its wall, half_space_from_theta(theta), bit for bit."""
 
     theta: float
+
+    def __post_init__(self):
+        object.__setattr__(self, "wall", half_space_from_theta(self.theta))
 
     def residual(self, xi: complex, eta: complex) -> float:
         # inside: Re(eta e^{i theta}) > 0
@@ -431,9 +469,11 @@ class ProductHalfPlane(TranslatedDomain):
         d = math.cos(self.theta)
         return (d, d)
 
-    def wos_domain(self):
-        from .robin import half_space_from_theta  # robin imports this module
-        return half_space_from_theta(self.theta)
+    def distance(self, x: np.ndarray) -> np.ndarray:
+        return self.wall.distance(x)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.wall.project(x)
 
 
 @dataclass(frozen=True)
@@ -443,7 +483,6 @@ class ModulusRegion(TranslatedDomain):
     log_k1: float
     log_k2: float
     rho: float
-    thread_safe = True  # not a dataclass field; see robin._contributions
 
     def residual(self, xi: complex, eta: complex) -> float:
         return _interval_residual(_log_ratio(xi, eta, self.rho), self.log_k1,
@@ -486,55 +525,14 @@ class ModulusRegion(TranslatedDomain):
     def project(self, x: np.ndarray) -> np.ndarray:
         return x  # a walk ends within eps_shell of the boundary
 
-    def wos_domain(self):
-        return self
-
-
-@dataclass(frozen=True)
-class GenericTranslate(TranslatedDomain):
-    residual_fn: Callable
-
-    def residual(self, xi: complex, eta: complex) -> float:
-        return float(self.residual_fn(xi, eta))
-
-    def distance_bounds(self):
-        if self.residual(1.0 + 0j, 1.0 + 0j) >= 0:
-            raise EvaluationError("identity is not inside the translate")
-        rng = np.random.default_rng(_DIST_SEED)
-        upper = math.inf
-        for _ in range(_DIST_RAYS):
-            v = rng.normal(size=4)
-            v /= np.linalg.norm(v)
-            dxi, deta = complex(v[0], v[1]), complex(v[2], v[3])
-
-            def g(s):
-                return self.residual(1.0 + s * dxi, 1.0 + s * deta)
-
-            lo, hi = 0.0, None
-            s = _DIST_TOL
-            while s <= _DIST_R_MAX:
-                if g(s) >= 0:
-                    hi = s
-                    break
-                lo = s
-                s *= 2.0
-            if hi is None:
-                continue
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if g(mid) >= 0:
-                    hi = mid
-                else:
-                    lo = mid
-            upper = min(upper, hi)
-        return (0.0, upper)
-
 
 def translate_domain(spec, anchor, params: HopfParams,
                      inv: Optional[InvariantSet] = None) -> TranslatedDomain:
     """Recenter a domain at an interior anchor: points divide coordinatewise.
 
-    The translated domain contains the identity (1, 1).  For the half-plane
+    The translated domain contains the identity (1, 1) and is a walk domain.
+    Only the level kinds and Nemirovskii translate; any other kind raises
+    EvaluationError once the anchor is checked.  For the half-plane
     family the result depends only on the angular offset theta of the
     anchor's w inside the half-plane, never on |w| or on z, and the distance
     from the identity to the boundary is exactly cos(theta).
@@ -552,9 +550,7 @@ def distance_to_identity(translated) -> tuple[float, float]:
     Exact for ProductHalfPlane; for modulus regions a global search over
     the foot-point bracket of each finite end's curve (a Lipschitz-pruned
     grid, then refinement, bracket width 2e-10), against the coordinate
-    axis beyond that end at distance 1; for generic translates an upper
-    bound from bisection along 64 seeded random rays of length <= 4 and the
-    trivial lower bound 0.0.
+    axis beyond that end at distance 1.
     """
     if not isinstance(translated, TranslatedDomain):
         raise InvalidInputError(

@@ -289,10 +289,10 @@ def derive_invariants(params: HopfParams, mode) -> InvariantSet:
             kind="ExactRational", tolerance=_DECLARED_GATE,
             max_denominator=p, numerator=q, denominator=p)
         tau = _tau_of(params, q, p)
-        if mode.l is None:
-            if mode.m is not None:
-                raise InvalidInputError("declared m without l")
+        if mode.l is None and mode.m is None:
             return _finish_rational_rho(params, rho, rho_rat, p, q, tau, None)
+        if mode.l is None or mode.m is None:
+            raise InvalidInputError("declare both l and m, or neither")
         l, m = mode.l, mode.m
         if l < 1 or math.gcd(l, abs(m)) != 1:
             raise InvalidInputError(

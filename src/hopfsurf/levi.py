@@ -322,6 +322,11 @@ def _ladder(p0: RealPoly2, trace: list):
     return "generic-fallback", None
 
 
+def _require_r1(r1: float) -> None:
+    if not (math.isfinite(r1) and r1 > 0):
+        raise InvalidInputError(f"r1 must be finite and > 0, got {r1}")
+
+
 def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
     """Find z* with 0 < |z*| < r1 and p0(z*) > 0, reporting the case used.
 
@@ -330,8 +335,7 @@ def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
     is positive at the candidate or the budget runs out.  violation is a
     point of |z| = 0.3 r1 where levi2_residual < -1e-9, or None.
     """
-    if r1 <= 0:
-        raise InvalidInputError("r1 must be positive")
+    _require_r1(r1)
     p0 = model.coeff(0)
     trace = []
 
@@ -374,10 +378,12 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
     Every sampled w below the base arc is matched to an s in [0, 1] with w on
     the arc over s z* (one-dimensional bisection; the arc residual at the
     solution is reported).  r' halves until the far arc clears every sample.
-    InvalidInputError for n_w_samples < 1.
+    InvalidInputError for n_w_samples < 1 or an r1 that is not finite
+    and > 0.
     """
     _require_samples(n_w_samples, "n_w_samples")
     _require_seed(seed)
+    _require_r1(r1)
     p0 = model.coeff(0)
     probe = np.abs(p0(0.5 * r1 * _UNIT[::_CIRCLE_GRID // 64])).max()
     if probe <= 1e-14:

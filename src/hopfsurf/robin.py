@@ -11,9 +11,11 @@ so lambda ("the Robin constant") is estimated as
 where X_exit is the first boundary hit of a walk-on-spheres path started at
 the pole (epsilon-shell termination, exit point projected to the boundary
 where a projection is available).  Step radii are exact distances (ball,
-half-space) or certified lower bounds (translated modulus regions), so no
-step leaves the domain.  Walks that leave the escape radius contribute zero
-kernel, which matches the o(1) tail of the unbounded domains used here.
+half-space, product half-plane) or certified lower bounds (translated
+modulus regions), so no step leaves the domain; the translates of
+hopfsurf.domains are walk domains themselves.  Walks that leave the escape
+radius contribute zero kernel, which matches the o(1) tail of the unbounded
+domains used here.
 
 Closed-form oracles: a ball of radius R with a centered pole has
 lambda = -1/R^2; a half-space with the pole at distance d has
@@ -50,6 +52,7 @@ import numpy as np
 from .errors import (EvaluationError, InvalidInputError, _is_int,
                      _require_nonneg, _require_samples, _require_seed)
 from . import domains as _domains
+from .domains import HalfSpace, half_space_from_theta  # re-exported
 
 KERNEL_NORMALIZATION = "G(x) = |x - pole|^-2 + lambda + o(1)"
 
@@ -60,7 +63,8 @@ def kernel(r):
 
 
 # ---------------------------------------------------------------------------
-# solvable domains in R^4, coordinates (Re xi, Im xi, Re eta, Im eta)
+# walk domains in R^4, coordinates (Re xi, Im xi, Re eta, Im eta); HalfSpace
+# and the translates live in domains
 
 
 # a walk in a ball squares distances up to its diameter (np.linalg.norm in
@@ -97,54 +101,16 @@ class Ball:
         return c + v * (self.radius / n)
 
 
-@dataclass(frozen=True)
-class HalfSpace:
-    """{x : <x, normal> > offset}."""
-
-    normal: tuple
-    offset: float = 0.0
-    thread_safe = True  # not a dataclass field; see _contributions
-
-    def __post_init__(self):
-        n = np.asarray(self.normal, dtype=float)
-        if n.shape != (4,) or not np.isfinite(n).all():
-            raise InvalidInputError(f"normal must be a finite 4-vector, "
-                                    f"got {self.normal}")
-        if not math.isfinite(self.offset):
-            raise InvalidInputError(f"offset must be finite, got {self.offset}")
-        nn = np.linalg.norm(n)
-        if nn == 0:
-            raise InvalidInputError("normal must be nonzero")
-        object.__setattr__(self, "normal", tuple(n / nn))
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        # a column sum in a written order, not a matmul or einsum: basic IEEE
-        # operations only, so no row count and no CPU's SIMD reduction order
-        # can change a row's bits
-        n0, n1, n2, n3 = self.normal
-        return ((x[..., 0] * n0 + x[..., 2] * n2)
-                + (x[..., 1] * n1 + x[..., 3] * n3) - self.offset)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x - self.distance(x)[..., None] * np.asarray(self.normal)
-
-
-def half_space_from_theta(theta: float) -> HalfSpace:
-    """The half-plane product domain {Re(eta e^{i theta}) > 0} as a wall in R^4."""
-    return HalfSpace(normal=(0.0, 0.0, math.cos(theta), -math.sin(theta)),
-                     offset=0.0)
-
-
 def identity_point() -> np.ndarray:
     return np.array([1.0, 0.0, 1.0, 0.0])
 
 
 def solvable_from_translate(translated):
-    """Adapt a translated domain to the walk-on-spheres interface."""
+    """The walk domain of a translate: the translate itself."""
     if not isinstance(translated, _domains.TranslatedDomain):
         raise EvaluationError("no walk-on-spheres adapter for "
                               f"{type(translated).__name__}")
-    return translated.wos_domain()
+    return translated
 
 
 # ---------------------------------------------------------------------------
@@ -406,8 +372,8 @@ def _contributions(domain, pole, n_walks: int, seed: int,
     project give each row of an (n, 4) call the bits of a one-row call on
     it, whatever n: every built-in domain does.
 
-    A domain that declares thread_safe = True (Ball, HalfSpace and
-    ModulusRegion do), so that its distance and project may run on several
+    A domain that declares thread_safe = True (Ball, HalfSpace and the
+    translates, ProductHalfPlane and ModulusRegion, do), so that its distance and project may run on several
     threads at once, has its blocks run on _WORKERS threads, the calling one
     among them, one per CPU in the process's affinity mask and at most 2;
     numpy releases the GIL inside its array loops, so the threads overlap.
@@ -568,12 +534,9 @@ def boundary_behavior_experiment(spec, anchors: Sequence, params,
     rows = []
     for j, anchor in enumerate(anchors):
         td = _domains.translate_domain(spec, anchor, params, inv)
-        # a kind without an adapter fails before the costly distance search
-        solvable = solvable_from_translate(td)
         lo, hi = _domains.distance_to_identity(td)
         seed = np.random.SeedSequence([budget.seed, j]).generate_state(1)[0]
-        est = robin_constant(solvable, identity_point(), budget.n_walks,
-                             int(seed))
+        est = robin_constant(td, identity_point(), budget.n_walks, int(seed))
         rows.append(BoundaryRow(
             anchor_z=complex(anchor[0]), anchor_w=complex(anchor[1]),
             theta=td.theta, dist_lower=lo, dist_upper=hi,
@@ -613,9 +576,9 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
         res = _domains.evaluate_domain(spec, pt, params, inv)
         if not res.inside:
             raise EvaluationError(f"line point {pt} leaves the domain")
-        td = spec.translate(pt, params, inv)
-        return _contributions(solvable_from_translate(td), identity_point(),
-                              budget.n_walks, budget.seed)[0]
+        return _contributions(spec.translate(pt, params, inv),
+                              identity_point(), budget.n_walks,
+                              budget.seed)[0]
 
     center = contributions_at((z0, w0))
     ring = []

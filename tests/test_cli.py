@@ -293,6 +293,33 @@ class TestRobinCommands:
          "field alpha = (nan+0j) is not finite"),
         (["fiber", "--a-re", "2", "--b-re", "3", "--unit-field",
           "--z-prime-re", "nan"], "fiber base z' = (nan+0j) is not finite"),
+        # k = inf exited 1 on an empty list, k2 = inf printed "tangential",
+        # A = nan classified as Stein and A = inf printed a NaN
+        (["levi-scan", "--a-re", "2", "--b-re", "3", "--domain",
+          "super-level", "--k", "inf"], "need a finite k > 0"),
+        (["tangency", "--a-re", "2", "--b-re", "3", "--domain", "sub-level",
+          "--k", "inf", "--unit-field"], "need a finite k > 0"),
+        (["tangency", "--a-re", "2", "--b-re", "3", "--domain", "level-band",
+          "--k1", "0.5", "--k2", "inf", "--unit-field"],
+         "need 0 < k1 < k2, both finite"),
+        (["classify", "--a-re", "2", "--b-re", "4", "--what", "domain",
+          "--domain", "nemirovskii", "--A", "nan", "--B", "0"],
+         "(A, B) must be finite and nonzero"),
+        (["levi-scan", "--a-re", "2", "--b-re", "4", "--domain",
+          "nemirovskii", "--A", "inf", "--B", "0"],
+         "(A, B) must be finite and nonzero"),
+        (["invariants", "--a-re", "2", "--b-re", "4", "--mode", "declared",
+          "--p", "1", "--q", "2", "--l", "2"],
+         "declare both l and m, or neither"),
+        (["diamond", "--p0", "[[1,1,1.0]]", "--r1", "inf"],
+         "r1 must be finite and > 0, got inf"),
+        (["diamond", "--p0", "[[1,1,1.0]]", "--r1", "nan"],
+         "r1 must be finite and > 0, got nan"),
+        (["sweep-cover", "--p0", "[[2,0,1],[0,2,1]]", "--r1", "inf"],
+         "r1 must be finite and > 0, got inf"),
+        # was "math domain error", from math.cos
+        (["robin", "--shape", "product-half-plane", "--theta", "inf",
+          "--pole", "1", "0", "1", "0"], "theta must be finite, got inf"),
     ])
     def test_non_finite_input_exit_2(self, capsys, argv, message):
         # a NaN tol used to exit 0 with invalid JSON; the non-finite values

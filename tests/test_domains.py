@@ -9,9 +9,9 @@ import sys
 import numpy as np
 import pytest
 
-from hopfsurf.domains import (GenericTranslate, ImplicitDomain, LeafFamily,
-                              LevelBand, ModulusRegion, Nemirovskii,
-                              ProductHalfPlane, SubLevel, SuperLevel,
+from hopfsurf.domains import (ImplicitDomain, LeafFamily, LevelBand,
+                              ModulusRegion, Nemirovskii, ProductHalfPlane,
+                              SubLevel, SuperLevel,
                               classify_domain, distance_to_identity,
                               evaluate_domain, tangency_check,
                               translate_domain, verify_nemirovskii_quotient)
@@ -46,6 +46,19 @@ class TestSpecs:
         assert spec.A == pytest.approx(1.0)
         with pytest.raises(InvalidInputError):
             Nemirovskii(0.0, 0.0)
+
+    @pytest.mark.parametrize("make", [
+        lambda: LevelBand(0.5, math.inf), lambda: LevelBand(math.inf, math.inf),
+        lambda: LevelBand(math.nan, 2.0), lambda: SubLevel(math.inf),
+        lambda: SuperLevel(math.inf), lambda: SuperLevel(math.nan),
+        lambda: Nemirovskii(math.nan, 0.0), lambda: Nemirovskii(math.inf, 0.0),
+        lambda: Nemirovskii(1.0, -math.inf),
+        lambda: Nemirovskii(math.inf, math.nan),
+        lambda: ProductHalfPlane(math.nan), lambda: ProductHalfPlane(math.inf)])
+    def test_non_finite_parameters_rejected(self, make):
+        # k = inf once passed, and an infinite end then left no finite one
+        with pytest.raises(InvalidInputError, match="finite"):
+            make()
 
 
 class TestEvaluateDomain:
@@ -126,6 +139,27 @@ class TestTranslateDomain:
         with pytest.raises(EvaluationError):
             translate_domain(Nemirovskii(1.0, 0.0), (1 + 0j, 1 + 0j), P24,
                              INV24)
+
+    @pytest.mark.parametrize("spec, params, inv, anchor", [
+        (LeafFamily(residual_fn=lambda c: abs(c) - 1.0), P2M4, INV2M4,
+         (1.5 + 0j, 0.5 * 1.5**2 + 0j)),
+        (ImplicitDomain(psi=lambda z, w: abs(w) - 10.0), P24, INV24,
+         (1 + 0j, 1 + 0j))], ids=["LeafFamily", "ImplicitDomain"])
+    def test_kinds_without_a_walkable_translate(self, spec, params, inv,
+                                                anchor):
+        # only the level kinds and Nemirovskii translate; the others say so
+        # by name once the anchor is found inside, before any walk
+        msg = f"^{type(spec).__name__} has no walkable translate$"
+        budget = robin.ExperimentBudget(n_walks=100, seed=5)
+        calls = [
+            lambda: translate_domain(spec, anchor, params, inv),
+            lambda: robin.boundary_behavior_experiment(
+                spec, [anchor], params, inv, budget),
+            lambda: robin.psh_spot_check(spec, anchor, (0j, 1 + 0j), 0.01, 3,
+                                         params, inv, budget)]
+        for call in calls:
+            with pytest.raises(EvaluationError, match=msg):
+                call()
 
     def test_parallel_law(self):
         # translate at anchor2 is the (z1/z2, w1/w2)-scaling of translate at
@@ -219,14 +253,6 @@ class TestDistanceToIdentity:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              check=True, capture_output=True, text=True)
         assert out.stdout.splitlines()[-1] == ball_oracle(1.0, c=0.5).hex()
-
-    def test_generic_translate_bracket(self):
-        spec = Nemirovskii(1.0, 0.0)
-        td = translate_domain(spec, (1 + 0j, -1 + 0j), P24, INV24)
-        gen = GenericTranslate(residual_fn=td.residual)
-        lo, hi = distance_to_identity(gen)
-        assert lo <= 1.0 + 1e-9
-        assert hi >= lo
 
 
 class TestTangency:

@@ -130,6 +130,14 @@ class TestDeriveInvariants:
         assert inv_d.nu == inv_n.nu == 2
         assert inv_d.K == inv_n.K
 
+    @pytest.mark.parametrize("l, m", [(2, None), (None, -1)])
+    def test_declared_needs_l_and_m_together(self, l, m):
+        # l without m failed on abs(None), which the CLI reported as exit 1
+        with pytest.raises(InvalidInputError,
+                           match="^declare both l and m, or neither$"):
+            derive_invariants(HopfParams(2 + 0j, -4 + 0j),
+                              Declared(p=1, q=2, l=l, m=m))
+
     def test_declared_rejects_inconsistent(self):
         with pytest.raises(ConsistencyError):
             derive_invariants(HopfParams(2 + 0j, -4 + 0j), Declared(p=1, q=3))

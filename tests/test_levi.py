@@ -191,6 +191,19 @@ class TestDiamondSearch:
             assert abs(res.z_star) < 0.5
             assert model.p[0](res.z_star) > 0
 
+    @pytest.mark.parametrize("r1", [math.inf, math.nan, 0.0, -1.0])
+    def test_r1_must_be_finite_and_positive(self, r1):
+        # r1 = inf once gave found with z* = inf, and nan three numpy
+        # warnings; warnings raise here, so the check runs before any p0
+        model = BoundaryModel(p=(RealPoly2({(1, 1): 1.0}),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in (diamond_search, sweep_cover_check):
+                with pytest.raises(InvalidInputError,
+                                   match=f"^r1 must be finite and > 0, got "
+                                         f"{r1}$"):
+                    call(model, r1)
+
 
 # one boundary model per branch of the case ladder: (p0 coefficients, case,
 # trace); the two generic-fallback rows reach that label from d = 2 and d = 4

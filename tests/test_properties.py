@@ -25,15 +25,15 @@ from quotient_reference import point_bits, reference_reduce_point
 
 from hopfsurf.cli import main
 from hopfsurf.domains import (ImplicitDomain, LevelBand, ModulusRegion,
-                              Nemirovskii, SubLevel, SuperLevel,
-                              translate_domain)
+                              Nemirovskii, ProductHalfPlane, SubLevel,
+                              SuperLevel, translate_domain)
 from hopfsurf.errors import EvaluationError, InvalidInputError
 from hopfsurf.flows import VectorField, fiber_set, unit_field
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.poly import MAX_DEGREE, RealPoly2
 from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
                                u_value)
-from hopfsurf.robin import HalfSpace, _norm
+from hopfsurf.robin import HalfSpace, _norm, half_space_from_theta
 
 EPS = sys.float_info.epsilon
 DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
@@ -316,6 +316,21 @@ def test_half_space_distance_is_the_written_column_sum(hs, n, seed):
         x - want[:, None] * np.array(hs.normal)).tobytes()
 
 
+@PROPERTY
+@given(theta=st.floats(-math.pi, math.pi), n=st.integers(1, 300),
+       seed=st.integers(0, 2**32))
+def test_product_half_plane_walks_on_its_wall(theta, n, seed):
+    # a translated Nemirovskii domain is its own walk domain: its distance
+    # and project are those of its wall, bit for bit, on any rows
+    td, wall = ProductHalfPlane(theta), half_space_from_theta(theta)
+    x = np.random.default_rng(seed).uniform(-1e3, 1e3, (n, 4))
+    assert td.thread_safe
+    for f, g in ((td.distance, wall.distance), (td.project, wall.project)):
+        assert f(x).tobytes() == g(x).tobytes()
+        assert f(x).tobytes() == np.concatenate(
+            [f(x[i:i + 1]) for i in range(n)]).tobytes()
+
+
 def _curve_distance(p1, p2, k, rho):
     """Distance from (p1, p2) to the increasing curve s2 = k s1^rho.
 
@@ -395,7 +410,7 @@ def test_modulus_distance_is_a_certified_lower_bound(td, pts, seed):
         z, w = cmath.rect(math.exp(l1), p1), cmath.rect(math.exp(l2), p2)
         x.append([z.real, z.imag, w.real, w.imag])
     x = np.array(x)
-    d = td.wos_domain().distance(x)
+    d = td.distance(x)
     for xi, di in zip(x, d):
         s1, s2 = math.hypot(xi[0], xi[1]), math.hypot(xi[2], xi[3])
         F = math.log(s2) - td.rho * math.log(s1)
@@ -412,7 +427,7 @@ def test_modulus_distance_is_a_certified_lower_bound(td, pts, seed):
         axes.append([0.0, 0.0, 1.0, 0.0])   # xi = 0
     if math.isfinite(td.log_k1):
         axes.append([1.0, 0.0, 0.0, 0.0])   # eta = 0
-    assert not td.wos_domain().distance(np.array(axes)).any()
+    assert not td.distance(np.array(axes)).any()
 
 
 @st.composite

@@ -184,6 +184,10 @@ PLANE = half_space_from_theta(math.pi / 3)
 # a translated modulus region, its own walk domain
 BAND = translate_domain(LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j),
                         HopfParams(2 + 0j, 3 + 0j))
+# a translated Nemirovskii domain, its own walk domain: a wall at theta = 1
+WALL = translate_domain(Nemirovskii(1.0, 0.0),
+                        (1 + 0j, -complex(math.cos(1.0), math.sin(1.0))),
+                        P24, INV24)
 
 
 class Solvable:
@@ -418,7 +422,8 @@ class TestThreadedWaves:
         (HS, 1, 0.5, WosConfig(block_size=1024)),
         (HS, 0, 0.0, WosConfig(block_size=1024, max_steps=5)),
         (HS, 7, 0.0, WosConfig(block_size=1024, r_max_factor=3.0)),
-        (BAND, 6, 0.0, WosConfig(block_size=1024))])
+        (BAND, 6, 0.0, WosConfig(block_size=1024)),
+        (WALL, 8, 0.0, WosConfig(block_size=1024))])
     def test_same_estimate_for_any_worker_count(self, monkeypatch, domain,
                                                 seed, c, cfg):
         ref = masked_estimate(domain, E, 4097, seed, c, cfg)
@@ -694,15 +699,15 @@ class TestBoundaryExperiment:
             assert abs(row.lambda_hat - oracle) < 3 * row.stderr + 1e-9
 
     def test_implicit_anchor_fails_before_the_distance_search(self):
-        # the anchor check evaluates psi once; the 64-ray distance search
-        # of a generic translate would evaluate it thousands of times
+        # the anchor check evaluates psi once; an implicit domain has no
+        # translate, so no distance search or walk evaluates it again
         calls = []
 
         def psi(z, w):
             calls.append((z, w))
             return abs(w) - 10.0
 
-        msg = "^no walk-on-spheres adapter for GenericTranslate$"
+        msg = "^ImplicitDomain has no walkable translate$"
         with pytest.raises(EvaluationError, match=msg):
             boundary_behavior_experiment(
                 ImplicitDomain(psi), [(1 + 0j, 1 + 0j)], P24, inv=INV24,
@@ -828,7 +833,7 @@ class TestCertifiedModulusDistance:
         td = translate_domain(SuperLevel(1.5), (0.3 + 0j, 1.5 + 0j), P23,
                               INV23)
         s1, s2 = 0.0025, 0.0011
-        d = td.wos_domain().distance(np.array([[s1, 0.0, s2, 0.0]]))[0]
+        d = td.distance(np.array([[s1, 0.0, s2, 0.0]]))[0]
         # (s1, k s1^rho) lies on the boundary straight below the point
         below = s2 - math.exp(td.log_k1) * s1 ** td.rho
         assert 0.0 < d <= below < 0.0011
@@ -840,7 +845,7 @@ class TestCertifiedModulusDistance:
         (SuperLevel(1.5), (0.3 + 0j, 1.5 + 0j))])
     def test_identity_distance_within_the_bracket(self, spec, anchor):
         td = translate_domain(spec, anchor, P23, INV23)
-        d = td.wos_domain().distance(E[None])[0]
+        d = td.distance(E[None])[0]
         assert 0.0 < d <= distance_to_identity(td)[1]
 
     def test_level_band_walks_take_few_steps(self):
