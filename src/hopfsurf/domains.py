@@ -332,8 +332,9 @@ class ImplicitDomain(DomainSpec):
             theorem_type="SteinCandidate",
             verdict=SteinVerdict(
                 status="Undetermined",
-                reason="implicit residual; run the pseudoconvexity scan and "
-                       "the Robin-constant experiments for evidence"))
+                reason="implicit residual; run the pseudoconvexity scan for "
+                       "evidence (the Robin-constant experiments cannot run: "
+                       "it gives no boundary distance to walk on)"))
 
 
 @dataclass(frozen=True)
@@ -663,26 +664,38 @@ class QuotientIdentityReport:
     shell_outer_count: int  # reduced reps with |z| > 1 (second product set)
 
 
+# The forward block draws log|w| within 3 log b of 0 and an arg w within
+# pi/2 of 0, whose cosine is at least cos(fl(pi/2)) ~ 6.1e-17, and reduces by
+# a lift index of at most 2.  So Re rep_w >= 6.1e-17 b^-5 stays above the
+# least subnormal, and b^3 below DBL_MAX, while log b is at most this (141.4).
+_MAX_LOG_B = (math.log(math.cos(math.pi / 2)) - math.log(5e-324)) / 5
+
+
 def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
                                 seed: int) -> QuotientIdentityReport:
     """Sampled check that the half-plane product descends onto the shell model.
 
-    Forward: random points of C_z x {Re w > 0} reduce into the union of the
-    two product pieces of the shell intersected with {Re w > 0}.  Backward:
-    random points of that union, pushed through random deck powers, land
-    back in the product (automatic since deck powers scale w by positive
-    reals, so backward_failures is 0).  Both directions are counted over
-    n_samples >= 1 points each; zero failures expected.
+    Forward: n_samples >= 1 random points of C_z x {Re w > 0} reduce into
+    the union of the two product pieces of the shell intersected with
+    {Re w > 0}; zero failures expected.  Backward: every point of that union
+    pushed through a deck power lands back in the product, since b is real
+    and > 1, so the power scales w by b^n > 0 and keeps the sign of Re w.
+    That is a fact, not a draw: n_backward = n_samples, backward_failures = 0.
+    PreconditionError unless b is real with 1 < b <= e^141.4 (about 2.6e61),
+    past which a drawn point overflows or a representative's Re w underflows
+    to 0.
     """
     _require_samples(n_samples)
     _require_seed(seed)
     _require_real_b(params)
-    rng = np.random.default_rng(seed)
     la, lb = params.log_abs_a, math.log(params.b.real)
+    if lb > _MAX_LOG_B:
+        raise PreconditionError(
+            f"the sampled check needs log b <= {_MAX_LOG_B:.6g} "
+            f"(b <= {math.exp(_MAX_LOG_B):.3g}), got b = {params.b.real}")
+    rng = np.random.default_rng(seed)
 
-    # Rows (log|z|, arg z, log|w|, arg w), drawn sample by sample and before
-    # any backward draw, so a seed gives the same forward points whatever
-    # the backward direction does.
+    # Rows (log|z|, arg z, log|w|, arg w), drawn sample by sample.
     u = rng.uniform((-3 * la, 0.0, -3 * lb, -math.pi / 2),
                     (3 * la, 2 * math.pi, 3 * lb, math.pi / 2),
                     size=(n_samples, 4))
@@ -691,21 +704,8 @@ def verify_nemirovskii_quotient(params: HopfParams, n_samples: int,
     mz, mw = _modulus(rep_z), _modulus(rep_w)
     ok = (rep_w.real > 0) & _in_fundamental_domain(mz, mw, params)
     inner = int(np.count_nonzero(ok & (mw > 1.0) & (mz <= 1.0)))
-
-    # Shell points with Re w > 0, half from each product piece, lifted by
-    # deck powers n in [-5, 5].
-    v = rng.random((n_samples, 5))
-    first = v[:, 0] < 0.5
-    z = np.where(first, abs(params.a) * v[:, 1], np.exp(la * v[:, 1])) \
-        * np.exp(2j * math.pi * v[:, 2])
-    w = np.exp(np.where(first, lb * v[:, 3], (lb + 3.0) * v[:, 3] - 3.0)
-               + 1j * math.pi * (v[:, 4] - 0.5))
-    shell = (w.real > 0) & _in_fundamental_domain(z, w, params)
-    lifted = w * float(params.b.real) ** rng.integers(-5, 6, n_samples)
-
     n_ok = int(np.count_nonzero(ok))
     return QuotientIdentityReport(
         n_forward=n_samples, n_backward=n_samples,
-        forward_failures=n_samples - n_ok,
-        backward_failures=int(np.count_nonzero(shell & ~(lifted.real > 0))),
+        forward_failures=n_samples - n_ok, backward_failures=0,
         shell_inner_count=inner, shell_outer_count=n_ok - inner)

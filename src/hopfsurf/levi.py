@@ -23,6 +23,7 @@ degree with or without off-diagonal terms.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from dataclasses import dataclass, fields
 from typing import Callable, Optional
@@ -219,7 +220,8 @@ def levi2_residual(model: BoundaryModel, z: complex) -> float:
     t1 = (1.0 + p1v**2) * p0.laplacian(z) / 4.0
     p1_z, p0_z = p1.wirtinger_z(z), p0.wirtinger_z(z)
     t2 = -2.0 * (p1_z * p0_z.conjugate() * (p1v - 1j)).real
-    t3 = 2.0 * p2(z) * abs(p0_z) ** 2
+    # no p2 term is no term: 0 times an overflowing |p0_z|^2 would be NaN
+    t3 = 2.0 * p2(z) * abs(p0_z) ** 2 if p2.coeffs else 0.0
     return t1 + t2 + t3
 
 
@@ -235,8 +237,9 @@ class DiamondResult:
 
 def _max_on_circle(fn: Callable, r: float):
     """(theta*, value) maximizing fn(r e^{i theta}): one call of fn on the
-    complex array r * _UNIT (the grid), then a scalar golden-section refine."""
-    i = int(np.argmax(fn(r * _UNIT)))
+    complex array r * _UNIT (the grid), then a scalar golden-section refine;
+    OverflowError if a grid value is not finite."""
+    i = int(np.argmax(_finite(fn(r * _UNIT))))
     span = 2 * math.pi / _CIRCLE_GRID
     a, b = _THETAS[i] - span, _THETAS[i] + span
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
@@ -327,6 +330,25 @@ def _require_r1(r1: float) -> None:
         raise InvalidInputError(f"r1 must be finite and > 0, got {r1}")
 
 
+@contextlib.contextmanager
+def _overflow_names_r1(r1: float):
+    """numpy overflow warnings silenced; an OverflowError, from a scalar
+    evaluation or from _finite, becomes EvaluationError naming r1."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+    except OverflowError:
+        raise EvaluationError(
+            f"the model overflows on |z| <= r1 = {r1:g}") from None
+
+
+def _finite(x):
+    """x, or OverflowError if any of its values is inf or NaN."""
+    if not np.isfinite(x).all():
+        raise OverflowError
+    return x
+
+
 def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
     """Find z* with 0 < |z*| < r1 and p0(z*) > 0, reporting the case used.
 
@@ -334,28 +356,30 @@ def diamond_search(model: BoundaryModel, r1: float) -> DiamondResult:
     (see _ladder); the radius then shrinks (r -> r/2, budget 60) until p0
     is positive at the candidate or the budget runs out.  violation is a
     point of |z| = 0.3 r1 where levi2_residual < -1e-9, or None.
+    EvaluationError naming r1 when a value the search decides on (a ring
+    residual, a circle grid value, p0 at a candidate) overflows.
     """
     _require_r1(r1)
     p0 = model.coeff(0)
     trace = []
+    with _overflow_names_r1(r1):
+        ring = 0.3 * r1 * _UNIT[::_CIRCLE_GRID // 8]
+        bad = ring[_finite(levi2_residual(model, ring)) < -1e-9]
+        violation = complex(bad[0]) if bad.size else None
 
-    ring = 0.3 * r1 * _UNIT[::_CIRCLE_GRID // 8]
-    bad = ring[levi2_residual(model, ring) < -1e-9]
-    violation = complex(bad[0]) if bad.size else None
-
-    case, unit = _ladder(p0, trace)
-    r = r1 / 2.0
-    for _ in range(_SHRINK_BUDGET):
-        if unit is None:
-            z = r * cmath.exp(1j * _max_on_circle(p0, r)[0])
-        else:
-            z = r * unit
-        val = p0(z)
-        if val > 0.0:
-            return DiamondResult(found=True, case=case, z_star=z,
-                                 p0_value=val, trace=tuple(trace),
-                                 violation=violation)
-        r /= 2.0
+        case, unit = _ladder(p0, trace)
+        r = r1 / 2.0
+        for _ in range(_SHRINK_BUDGET):
+            if unit is None:
+                z = r * cmath.exp(1j * _max_on_circle(p0, r)[0])
+            else:
+                z = r * unit
+            val = _finite(p0(z))
+            if val > 0.0:
+                return DiamondResult(found=True, case=case, z_star=z,
+                                     p0_value=val, trace=tuple(trace),
+                                     violation=violation)
+            r /= 2.0
     trace.append(f"{case}: shrink budget exhausted")
     return DiamondResult(found=False, case=case, trace=tuple(trace),
                          violation=violation)
@@ -379,51 +403,54 @@ def sweep_cover_check(model: BoundaryModel, r1: float,
     the arc over s z* (one-dimensional bisection; the arc residual at the
     solution is reported).  r' halves until the far arc clears every sample.
     InvalidInputError for n_w_samples < 1 or an r1 that is not finite
-    and > 0.
+    and > 0; EvaluationError naming r1 when a value it decides on (the
+    probe circle, an arc residual, diamond_search's) overflows.
     """
     _require_samples(n_w_samples, "n_w_samples")
     _require_seed(seed)
     _require_r1(r1)
-    p0 = model.coeff(0)
-    probe = np.abs(p0(0.5 * r1 * _UNIT[::_CIRCLE_GRID // 64])).max()
-    if probe <= 1e-14:
-        raise PreconditionError("p0 vanishes identically on the probe circle")
+    with _overflow_names_r1(r1):
+        p0 = model.coeff(0)
+        probe = _finite(np.abs(p0(0.5 * r1 * _UNIT[::_CIRCLE_GRID // 64])))
+        if probe.max() <= 1e-14:
+            raise PreconditionError(
+                "p0 vanishes identically on the probe circle")
 
-    dres = diamond_search(model, r1)
-    if not dres.found:
-        raise PreconditionError("no positivity point found; cannot anchor "
-                                f"the sweep (trace: {dres.trace})")
-    z_star, P = dres.z_star, dres.p0_value
+        dres = diamond_search(model, r1)
+        if not dres.found:
+            raise PreconditionError("no positivity point found; cannot anchor "
+                                    f"the sweep (trace: {dres.trace})")
+        z_star, P = dres.z_star, dres.p0_value
 
-    rng = np.random.default_rng(seed)
-    disk = []
-    while len(disk) < n_w_samples:
-        u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
-        if u * u + v * v <= 1.0:
-            disk.append((u, v))
+        rng = np.random.default_rng(seed)
+        disk = []
+        while len(disk) < n_w_samples:
+            u, v = rng.uniform(-1, 1), rng.uniform(-1, 1)
+            if u * u + v * v <= 1.0:
+                disk.append((u, v))
 
-    def f(s, u, v):  # elementwise over arrays
-        return v - model.arc_v(s * z_star, u)
+        def f(s, u, v):  # elementwise over arrays
+            return _finite(v - model.arc_v(s * z_star, u))
 
-    disk = np.array(disk).T
-    r_prime = min(r1, P) / 2.0
-    for _ in range(_SHRINK_BUDGET):
-        u, v = r_prime * disk
-        below = f(0.0, u, v) < 0.0
-        u, v = u[below], v[below]
-        if np.all(f(1.0, u, v) > 0.0):
-            break
-        r_prime /= 2.0
-    else:
-        raise PreconditionError("could not certify a covering radius")
+        disk = np.array(disk).T
+        r_prime = min(r1, P) / 2.0
+        for _ in range(_SHRINK_BUDGET):
+            u, v = r_prime * disk
+            below = f(0.0, u, v) < 0.0
+            u, v = u[below], v[below]
+            if np.all(f(1.0, u, v) > 0.0):
+                break
+            r_prime /= 2.0
+        else:
+            raise PreconditionError("could not certify a covering radius")
 
-    # bisection for s in [0, 1], all samples in lockstep
-    lo, hi = np.zeros(len(u)), np.ones(len(u))
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        neg = f(mid, u, v) < 0.0
-        lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
-    max_res = float(np.abs(f(0.5 * (lo + hi), u, v)).max(initial=0.0))
+        # bisection for s in [0, 1], all samples in lockstep
+        lo, hi = np.zeros(len(u)), np.ones(len(u))
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            neg = f(mid, u, v) < 0.0
+            lo, hi = np.where(neg, mid, lo), np.where(neg, hi, mid)
+        max_res = float(np.abs(f(0.5 * (lo + hi), u, v)).max(initial=0.0))
 
     return SweepReport(r_prime=r_prime, z_star=z_star, n_covered=len(u),
                        max_arc_residual=max_res, diamond_case=dres.case)

@@ -2,9 +2,11 @@
 
 import json
 import math
+import warnings
 
 import pytest
 
+from hopfsurf import cli
 from hopfsurf.cli import main
 
 
@@ -145,6 +147,43 @@ class TestBoundaryCommands:
                             "[[2,0,1],[0,2,1]]")
         assert code == 0
         assert doc["r_prime"] > 0
+
+    @pytest.mark.parametrize("argv, message", [
+        # the first, second and fourth exited 1 with "internal error: (34,
+        # 'Numerical result out of range')"; the third printed
+        # "p0_value": Infinity after numpy overflow warnings
+        (["diamond", "--p0", "[[16,0,1.0],[0,2,1.0]]", "--r1", "1e20"],
+         "the model overflows on |z| <= r1 = 1e+20"),
+        (["diamond", "--p0", "[[2,0,1.0]]", "--r1", "1e300"],
+         "the model overflows on |z| <= r1 = 1e+300"),
+        (["diamond", "--p0", "[[1,1,1.0]]", "--r1", "1e300"],
+         "the model overflows on |z| <= r1 = 1e+300"),
+        (["sweep-cover", "--p0", "[[2,0,1],[0,2,1]]", "--r1", "1e200"],
+         "the model overflows on |z| <= r1 = 1e+200"),
+        (["diamond", "--p0", "[]"], "p0 is identically zero"),
+        # b = 1e70 exited 0 with 1 forward and 8 backward failures after
+        # RuntimeWarnings, and b = 1e150 named a w = (inf+infj) never given
+        *([["nemirovskii-verify", "--a-re", "2", "--b-re", b,
+            "--n-samples", "100"],
+           f"the sampled check needs log b <= 141.422 (b <= 2.62e+61), "
+           f"got b = {float(b)}"] for b in ("1e65", "1e70", "1e150")),
+    ])
+    def test_out_of_range_exit_2(self, capsys, argv, message):
+        # a warning raised as an error would exit 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == f"error: {message}\n"
+
+    def test_nemirovskii_verify_near_the_multiplier_bound(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_cli(capsys, "nemirovskii-verify", "--a-re", "2",
+                                "--b-re", "1e60")
+        assert code == 0
+        assert doc["forward_failures"] == doc["backward_failures"] == 0
 
 
 class TestRobinCommands:
@@ -340,6 +379,25 @@ class TestParsing:
         with pytest.raises(SystemExit):
             main(["classify", "--a-re", "2", "--b-re", "3", "--what",
                   "domain", "--domain", "pretzel"])
+
+    def test_internal_error_exit_1(self, capsys, monkeypatch):
+        # an error that is not a ValueError is a defect, not bad input
+        def handler(ns):
+            raise RuntimeError("handler failed")
+
+        parser = cli.build_parser()
+        parse = parser.parse_args
+
+        def parse_args(argv):
+            ns = parse(argv)
+            ns.handler = handler
+            return ns
+
+        monkeypatch.setattr(parser, "parse_args", parse_args)
+        code = main(["invariants", "--a-re", "2", "--b-re", "4"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (1, "")
+        assert captured.err == "internal error: handler failed\n"
 
 
 _BAND = ["--a-re", "2", "--b-re", "3", "--domain", "level-band", "--k1", "0.5",

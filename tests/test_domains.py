@@ -3,8 +3,10 @@
 import cmath
 import math
 import os
+import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -18,9 +20,10 @@ from hopfsurf.domains import (ImplicitDomain, LeafFamily, LevelBand,
 from hopfsurf.errors import (CaseError, EvaluationError, InvalidInputError,
                              PreconditionError)
 from hopfsurf.flows import VectorField, unit_field
-from hopfsurf import flows, levi, robin
+from hopfsurf import domains, flows, levi, robin
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.poly import RealPoly2
+from hopfsurf.quotient import reduce_points
 
 P23 = HopfParams(2 + 0j, 3 + 0j)
 INV23 = derive_invariants(P23, Numeric())
@@ -46,6 +49,12 @@ class TestSpecs:
         assert spec.A == pytest.approx(1.0)
         with pytest.raises(InvalidInputError):
             Nemirovskii(0.0, 0.0)
+
+    @pytest.mark.parametrize("A, B", [(-1.0, 0.0), (0.0, -2.0)])
+    def test_nemirovskii_canonical_sign(self, A, B):
+        with pytest.raises(InvalidInputError,
+                           match="^canonical normalization requires A >= 0 "):
+            Nemirovskii(A, B)
 
     @pytest.mark.parametrize("make", [
         lambda: LevelBand(0.5, math.inf), lambda: LevelBand(math.inf, math.inf),
@@ -140,6 +149,31 @@ class TestTranslateDomain:
             translate_domain(Nemirovskii(1.0, 0.0), (1 + 0j, 1 + 0j), P24,
                              INV24)
 
+    def test_torus_anchor_rejected(self):
+        # the w = 0 torus lies inside a sub-level union, but a modulus
+        # region cannot be recentered on it
+        with pytest.raises(EvaluationError,
+                           match="^anchor on a coordinate torus does not "
+                                 "recenter a modulus region$"):
+            translate_domain(SubLevel(1.5), (1.5 + 0j, 0j), P23, INV23)
+
+    def test_product_half_plane_residual(self):
+        rng = np.random.default_rng(41)
+        for theta in (-1.2, 0.0, 0.4, 1.5):
+            assert ProductHalfPlane(theta).residual(1 + 0j, 1 + 0j) == \
+                -math.cos(theta)
+        # a shell anchor is its own representative, so the translate divides
+        # by it: the residual is Nemirovskii's at the point over |w0|
+        spec, anchor = Nemirovskii(0.6, -0.8), (1.5 + 0.2j, -1.8 + 0.9j)
+        td = translate_domain(spec, anchor, P24, INV24)
+        for _ in range(50):
+            z, w = _random_point(rng)
+            r = spec.residual(z, w, P24, INV24)
+            rt = td.residual(z / anchor[0], w / anchor[1])
+            assert np.sign(rt) == np.sign(r)
+            assert rt == pytest.approx(r / abs(anchor[1]), rel=1e-12,
+                                       abs=1e-15)
+
     @pytest.mark.parametrize("spec, params, inv, anchor", [
         (LeafFamily(residual_fn=lambda c: abs(c) - 1.0), P2M4, INV2M4,
          (1.5 + 0j, 0.5 * 1.5**2 + 0j)),
@@ -209,6 +243,11 @@ class TestDistanceToIdentity:
                 for lk in (lo_k, hi_k) if math.isfinite(lk))
         lo, hi = distance_to_identity(ModulusRegion(lo_k, hi_k, 1.0))
         assert lo <= d <= hi <= lo + 2.0000001e-10
+
+    def test_modulus_region_without_finite_end(self):
+        with pytest.raises(EvaluationError,
+                           match="^region has no finite boundary$"):
+            ModulusRegion(-math.inf, math.inf, 1.0).distance_bounds()
 
     def test_modulus_region_finds_the_far_foot_point(self):
         # two local minima of the curve distance, about 0.9995 below the
@@ -353,12 +392,58 @@ class TestNemirovskiiQuotient:
     @pytest.mark.parametrize("n, seed, inner, outer", [
         (10**4, 99, 4104, 5896), (2000, 21, 829, 1171)])
     def test_forward_draw_order_pinned(self, n, seed, inner, outer):
-        # The forward samples are drawn before the backward ones, four
-        # uniforms per sample in (log|z|, arg z, log|w|, arg w) order.
+        # The forward block is the only draw, four uniforms per sample in
+        # (log|z|, arg z, log|w|, arg w) order.
         rep = verify_nemirovskii_quotient(HopfParams(2, 4), n, seed=seed)
         assert (rep.shell_inner_count, rep.shell_outer_count) == (inner, outer)
         assert rep.n_forward == rep.n_backward == n
         assert rep.forward_failures == rep.backward_failures == 0
+
+    def test_draws_only_the_forward_block(self, monkeypatch):
+        # the backward direction is decided: b > 1 real keeps Re w's sign
+        draws, default_rng = [], np.random.default_rng
+
+        class Recorder:
+            def __init__(self, seed):
+                self.rng = default_rng(seed)
+
+            def __getattr__(self, name):
+                def draw(*args, **kwargs):
+                    draws.append((name, kwargs.get("size")))
+                    return getattr(self.rng, name)(*args, **kwargs)
+                return draw
+
+        monkeypatch.setattr(np.random, "default_rng", Recorder)
+        rep = verify_nemirovskii_quotient(P24, 300, seed=4)
+        assert draws == [("uniform", (300, 4))]
+        assert (rep.n_backward, rep.backward_failures) == (300, 0)
+
+    def test_multiplier_bound_is_tight(self):
+        # the least Re rep_w the forward block can reach: log|w| = -3 log b,
+        # arg w = -pi/2 and lift index 2 (log|z| just under 3 log|a|); it is
+        # the least subnormal at the bound and 0 just past it
+        for lb, least in ((domains._MAX_LOG_B, 5e-324),
+                          (domains._MAX_LOG_B + 0.5, 0.0)):
+            params = HopfParams(2 + 0j, complex(math.exp(lb)))
+            z = np.exp(3 * params.log_abs_a * (1 - 1e-12)) + 0j
+            w = np.exp(-3 * math.log(params.b.real) - 1j * math.pi / 2)
+            _, rep_w, lift = reduce_points(np.array([z]), np.array([w]),
+                                           params)
+            assert (rep_w[0].real, lift[0]) == (least, 2)
+
+    def test_multiplier_range(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for seed in range(3):
+                rep = verify_nemirovskii_quotient(HopfParams(2, 1e60), 10**4,
+                                                  seed)
+                assert rep.forward_failures == rep.backward_failures == 0
+                assert rep.shell_inner_count > 0 < rep.shell_outer_count
+        for b in (1e65, 1e70, 1e150):
+            with pytest.raises(PreconditionError,
+                               match=re.escape("needs log b <= 141.422 "
+                                               "(b <= 2.62e+61), got b = ")):
+                verify_nemirovskii_quotient(HopfParams(2, b), 100, seed=3)
 
     @pytest.mark.parametrize("n", [0, -5])
     def test_rejects_bad_sample_counts(self, n):

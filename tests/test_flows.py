@@ -91,6 +91,10 @@ class TestStarDiscrepancy:
     def test_clustered_sample_is_large(self):
         assert star_discrepancy([0.1] * 50) > 0.9
 
+    def test_empty_sample_rejected(self):
+        with pytest.raises(InvalidInputError, match="^empty sample$"):
+            star_discrepancy([])
+
 
 class TestFiberSet:
     def test_case_b2_fiber_is_finite(self):
@@ -118,6 +122,12 @@ class TestFiberSet:
     def test_zero_fiber_rejected(self):
         with pytest.raises(InvalidInputError):
             fiber_set(unit_field(P23), 0j, INV23, 10)
+
+    def test_vertical_field_rejected(self):
+        with pytest.raises(EvaluationError,
+                           match="the fiber construction requires "
+                                 "alpha != 0$"):
+            fiber_set(VectorField(0j, 1 + 0j), 1.5 + 0j, INV23, 10)
 
 
     @pytest.mark.parametrize("z_prime", [complex(math.nan, 0),

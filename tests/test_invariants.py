@@ -93,6 +93,17 @@ class TestDetectRational:
                            match=f"tol must be finite and >= 0, got {tol}"):
             detect_rational(0.5, tol, 10**6)
 
+    @pytest.mark.parametrize("x", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_x(self, x):
+        with pytest.raises(InvalidInputError,
+                           match=f"^x must be finite, got {x}$"):
+            detect_rational(x, 1e-12, 10**6)
+
+    def test_rejects_zero_max_den(self):
+        with pytest.raises(InvalidInputError,
+                           match="^max_den must be >= 1$"):
+            detect_rational(0.5, 1e-12, 0)
+
     def test_numeric_mode_rejects_nan_tol(self):
         # a NaN tol used to reach the report and print as invalid JSON
         with pytest.raises(InvalidInputError, match="tol must be finite"):
@@ -138,6 +149,19 @@ class TestDeriveInvariants:
             derive_invariants(HopfParams(2 + 0j, -4 + 0j),
                               Declared(p=1, q=2, l=l, m=m))
 
+    @pytest.mark.parametrize("mode, error, message", [
+        (Declared(p=2, q=4), InvalidInputError,
+         "declared rho = 4/2 must have q >= p >= 1 and gcd(p, q) = 1"),
+        (Declared(p=1, q=2, l=4, m=2), InvalidInputError,
+         "declared tau = 2/4 must have l >= 1 and gcd(l, |m|) = 1"),
+        (Declared(p=1, q=2, l=3, m=1), ConsistencyError,
+         "declared tau = 1/3 but computed tau = -0.5"),
+    ])
+    def test_declared_rejects_bad_fractions(self, mode, error, message):
+        # rho = 2 and tau = -1/2 on (2, -4)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            derive_invariants(HopfParams(2 + 0j, -4 + 0j), mode)
+
     def test_declared_rejects_inconsistent(self):
         with pytest.raises(ConsistencyError):
             derive_invariants(HopfParams(2 + 0j, -4 + 0j), Declared(p=1, q=3))
@@ -150,6 +174,11 @@ class TestDeriveInvariants:
 
 
 class TestRootsOfUnity:
+    @pytest.mark.parametrize("nu", [0, -3])
+    def test_rejects_orders_below_one(self, nu):
+        with pytest.raises(InvalidInputError, match="^nu must be >= 1$"):
+            roots_of_unity(nu)
+
     def test_quarter_turns_exact(self):
         assert roots_of_unity(4) == [1 + 0j, 1j, -1 + 0j, -1j]
         assert roots_of_unity(2) == [1 + 0j, -1 + 0j]

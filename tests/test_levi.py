@@ -2,13 +2,15 @@
 
 import cmath
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from hopfsurf.domains import LevelBand, Nemirovskii
-from hopfsurf.errors import InvalidInputError, PreconditionError
+from hopfsurf.errors import (EvaluationError, InvalidInputError,
+                             PreconditionError)
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.levi import (BoundaryModel, Jet2, diamond_search, levi2_residual,
                            levi_form, numeric_jet, pseudoconvexity_scan,
@@ -121,6 +123,13 @@ class TestPseudoconvexityScan:
         assert not rep.pseudoconvex_at_samples
         assert rep.min_levi < -0.1
 
+    def test_spec_without_boundary_rejected(self):
+        from hopfsurf.domains import ImplicitDomain
+        spec = ImplicitDomain(psi=lambda z, w: 1.0)
+        with pytest.raises(EvaluationError,
+                           match="^no boundary points found for this spec$"):
+            pseudoconvexity_scan(spec, 3, 1e-6, P23, 7, inv=INV23)
+
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_bad_sample_counts(self, n):
         with pytest.raises(InvalidInputError, match="n_samples"):
@@ -203,6 +212,36 @@ class TestDiamondSearch:
                                    match=f"^r1 must be finite and > 0, got "
                                          f"{r1}$"):
                     call(model, r1)
+
+    @pytest.mark.parametrize("coeffs, r1", [
+        # the scalar eval of x**16 raised OverflowError (CLI exit 1)
+        ({(16, 0): 1.0, (0, 2): 1.0}, 1e20),
+        ({(2, 0): 1.0}, 1e300),
+        # found with p0(z*) = inf, printed as the non-JSON Infinity
+        ({(1, 1): 1.0}, 1e300),
+    ])
+    def test_overflow_names_r1(self, coeffs, r1):
+        model = BoundaryModel(p=(RealPoly2(coeffs),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError,
+                               match=re.escape(f"the model overflows on "
+                                               f"|z| <= r1 = {r1:g}") + "$"):
+                diamond_search(model, r1)
+
+    @pytest.mark.parametrize("coeffs, r1, case, value", [
+        ({(2, 0): 1.0, (0, 2): 1.0}, 1e100, "a11-positive", 2.5e199),
+        # |p0_z|^2 overflows on the ring, but p2 = 0 drops that term
+        ({(3, 0): 1.0, (1, 2): -3.0}, 1e80, "odd-leading", 1.25e239),
+    ])
+    def test_large_r1_without_overflow(self, coeffs, r1, case, value):
+        model = BoundaryModel(p=(RealPoly2(coeffs),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = diamond_search(model, r1)
+        assert res.found and res.case == case and res.violation is None
+        assert abs(res.z_star) == pytest.approx(r1 / 2, rel=1e-12)
+        assert res.p0_value == pytest.approx(value, rel=1e-12)
 
 
 # one boundary model per branch of the case ladder: (p0 coefficients, case,
@@ -308,6 +347,29 @@ class TestSweepCover:
         with pytest.raises(PreconditionError):
             sweep_cover_check(model, 1.0)
 
+    def test_no_positivity_point_rejected(self):
+        model = BoundaryModel(p=(RealPoly2({(2, 0): -1.0, (0, 2): -1.0}),))
+        with pytest.raises(PreconditionError,
+                           match="^no positivity point found; cannot anchor "
+                                 "the sweep"):
+            sweep_cover_check(model, 1.0)
+
+    @pytest.mark.parametrize("p, r1", [
+        # p0 overflows on the circle search (CLI exit 1)
+        (({(2, 0): 1.0, (0, 2): 1.0},), 1e200),
+        (({(2, 0): 1.0, (0, 2): 1.0},), 1e308),
+        # p0(z*) is finite but the arcs p1(s z*) u overflow
+        (({(2, 0): 1.0, (0, 2): 1.0}, {(2, 0): 1.0}), 1e150),
+    ])
+    def test_overflow_names_r1(self, p, r1):
+        model = BoundaryModel(p=tuple(RealPoly2(c) for c in p))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationError,
+                               match=re.escape(f"the model overflows on "
+                                               f"|z| <= r1 = {r1:g}") + "$"):
+                sweep_cover_check(model, r1)
+
     @pytest.mark.parametrize("n", [0, -4])
     def test_rejects_bad_w_sample_counts(self, n):
         # no samples would certify the first radius tried
@@ -329,7 +391,29 @@ class TestSweepCover:
         assert rep.r_prime > 0
 
 
+class TestBoundaryModel:
+    @pytest.mark.parametrize("p, message", [
+        ((), "need at least p0"),
+        (({(1, 0): 1.0},), "coefficients must be RealPoly2"),
+        ((RealPoly2({(0, 0): 0.5, (1, 0): 1.0}),), "p0(0) must vanish"),
+        ((RealPoly2({(1, 0): 1.0}), RealPoly2({(0, 0): -2.0})),
+         "p1(0) must vanish"),
+    ])
+    def test_rejects_malformed_models(self, p, message):
+        with pytest.raises(InvalidInputError,
+                           match=f"^{re.escape(message)}$"):
+            BoundaryModel(p=p)
+
+
 class TestRealPoly2:
+    @pytest.mark.parametrize("coeffs, message", [
+        ({(-1, 2): 1.0}, "negative exponent"),
+        ({(10, 7): 1.0}, "degree 17 exceeds the supported cap 16"),
+    ])
+    def test_rejects_bad_monomials(self, coeffs, message):
+        with pytest.raises(InvalidInputError, match=f"^{message}$"):
+            RealPoly2(coeffs)
+
     def test_complex_coefficient_round_trip(self):
         rng = np.random.default_rng(37)
         for _ in range(20):

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from hopfsurf import quotient
-from hopfsurf.errors import EvaluationError, InvalidInputError
+from hopfsurf.errors import CaseError, EvaluationError, InvalidInputError
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.quotient import (HopfPoint, _hopf_point, _in_fundamental_domain,
                                _shell_violation, equivalent, leaf_equivalent,
@@ -291,10 +291,27 @@ class TestLevelMembership:
         res = level_membership((1 + 0j, 3 + 0j), 0.0, PARAMS)
         assert res.residual != 0.0
 
+    @pytest.mark.parametrize("pt", [(1.5 + 0j, 0j), (0j, 1.5 + 0j)])
+    def test_torus_point_rejected(self, pt):
+        with pytest.raises(EvaluationError,
+                           match="^level sets do not meet the coordinate "
+                                 "tori$"):
+            level_membership(pt, 0.0, PARAMS)
+
 
 class TestLeafEquivalent:
     def setup_method(self):
         self.inv = derive_invariants(HopfParams(2 + 0j, -4 + 0j), Numeric())
+
+    def test_needs_rational_invariants(self):
+        inv = derive_invariants(HopfParams(2 + 0j, 3 + 0j), Numeric())
+        with pytest.raises(CaseError, match="invariants are CaseA$"):
+            leaf_equivalent(1.7 + 0j, 1.7 + 0j, inv, 1e-9)
+
+    def test_zero_label_rejected(self):
+        with pytest.raises(InvalidInputError,
+                           match="^leaf label c1 must be nonzero$"):
+            leaf_equivalent(0j, 1.7 + 0j, self.inv, 1e-9)
 
     def test_root_of_unity_orbit(self):
         assert leaf_equivalent(1.7 + 0j, -1.7 + 0j, self.inv, 1e-9)
