@@ -29,7 +29,11 @@ Nemirovskii family becomes a ProductHalfPlane, a half-plane in the
 w-coordinate whose distance to the identity is exactly cos(theta), theta the
 anchor's angular offset inside the half-plane.  Each translate is its own
 thread_safe walk domain in R^4 (distance and project per row); a
-ProductHalfPlane walks on its HalfSpace wall, defined here.
+ProductHalfPlane walks on its HalfSpace wall, defined here.  The walls and
+the translates also hold a parameter vector, walk_row, and a walk_kind;
+their distance_rows and project_rows take one walk_row per point, so
+problems of one walk_kind can walk together, and distance and project are
+the same code on their own row.
 """
 
 from __future__ import annotations
@@ -423,17 +427,29 @@ class HalfSpace:
         if nn == 0:
             raise InvalidInputError("normal must be nonzero")
         object.__setattr__(self, "normal", tuple(n / nn))
+        object.__setattr__(self, "walk_row", (*self.normal, self.offset))
+        object.__setattr__(self, "walk_kind", type(self))
 
     def distance(self, x: np.ndarray) -> np.ndarray:
+        return self.distance_rows(x, self.walk_row)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.project_rows(x, self.walk_row)
+
+    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        """distance(x) on the walls whose walk_row (normal, offset) has
+        entries rows[i]: one walk_row for every point of x, or a (5, n)
+        array, one column per point."""
         # a column sum in a written order, not a matmul or einsum: basic IEEE
         # operations only, so no row count and no CPU's SIMD reduction order
         # can change a row's bits
-        n0, n1, n2, n3 = self.normal
+        n0, n1, n2, n3, offset = rows
         return ((x[..., 0] * n0 + x[..., 2] * n2)
-                + (x[..., 1] * n1 + x[..., 3] * n3) - self.offset)
+                + (x[..., 1] * n1 + x[..., 3] * n3) - offset)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x - self.distance(x)[..., None] * np.asarray(self.normal)
+    def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        return (x - self.distance_rows(x, rows)[..., None]
+                * np.asarray(rows[:4]).T)
 
 
 def half_space_from_theta(theta: float) -> HalfSpace:
@@ -446,7 +462,9 @@ def half_space_from_theta(theta: float) -> HalfSpace:
 
 class TranslatedDomain:
     """Base of the recentered kinds: residual(xi, eta), distance_bounds,
-    and the walk-domain methods distance(x) and project(x)."""
+    the walk-domain methods distance(x) and project(x), and walk_row,
+    walk_kind, distance_rows(x, rows) and project_rows(x, rows), which
+    the experiments use to walk several translates at once."""
 
     theta: Optional[float] = None  # angular offset, half-plane kinds only
     thread_safe = True  # not a dataclass field; see robin._contributions
@@ -460,7 +478,10 @@ class ProductHalfPlane(TranslatedDomain):
     theta: float
 
     def __post_init__(self):
-        object.__setattr__(self, "wall", half_space_from_theta(self.theta))
+        wall = half_space_from_theta(self.theta)
+        object.__setattr__(self, "wall", wall)
+        object.__setattr__(self, "walk_row", wall.walk_row)
+        object.__setattr__(self, "walk_kind", type(self))
 
     def residual(self, xi: complex, eta: complex) -> float:
         # inside: Re(eta e^{i theta}) > 0
@@ -476,6 +497,12 @@ class ProductHalfPlane(TranslatedDomain):
     def project(self, x: np.ndarray) -> np.ndarray:
         return self.wall.project(x)
 
+    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        return self.wall.distance_rows(x, rows)
+
+    def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        return self.wall.project_rows(x, rows)
+
 
 @dataclass(frozen=True)
 class ModulusRegion(TranslatedDomain):
@@ -484,6 +511,14 @@ class ModulusRegion(TranslatedDomain):
     log_k1: float
     log_k2: float
     rho: float
+
+    def __post_init__(self):
+        # translates of one spec share rho and which ends are finite, and
+        # differ in the ends alone
+        ends = (self.log_k1, self.log_k2)
+        object.__setattr__(self, "walk_row", ends)
+        object.__setattr__(self, "walk_kind", (type(self), self.rho,
+                                               *map(math.isfinite, ends)))
 
     def residual(self, xi: complex, eta: complex) -> float:
         return _interval_residual(_log_ratio(xi, eta, self.rho), self.log_k1,
@@ -510,21 +545,32 @@ class ModulusRegion(TranslatedDomain):
         rho r1/(s1 - r) <= r L / (1 - r/s1), which is < gap exactly when
         r < gap / (L + gap/s1); the lower end is the same with s2.
         """
-        lo, hi, rho = self.log_k1, self.log_k2, self.rho
+        return self.distance_rows(x, self.walk_row)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return x  # a walk ends within eps_shell of the boundary
+
+    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        """distance(x) on the translates of this one's walk_kind whose
+        walk_row (log_k1, log_k2) has entries rows[i]: one walk_row for
+        every point of x, or a (2, n) array, one column per point."""
+        _, rho, lo_finite, hi_finite = self.walk_kind
+        lo, hi = rows
         x = np.atleast_2d(x)
         s1, s2 = np.hypot(x[:, 0], x[:, 1]), np.hypot(x[:, 2], x[:, 3])
         out = np.full(len(x), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             F = np.log(s2) - rho * np.log(s1)
             L = np.hypot(rho / s1, 1.0 / s2)
-            for end, gap, s in ((hi, hi - F, s1), (lo, F - lo, s2)):
-                if math.isfinite(end):
+            for finite, gap, s in ((hi_finite, hi - F, s1),
+                                   (lo_finite, F - lo, s2)):
+                if finite:
                     gap = np.maximum(gap, 0.0)  # 0 outside, NaN kept
                     out = np.minimum(out, gap / (L + gap / s))
         return np.where(np.isnan(out), 0.0, out)
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x  # a walk ends within eps_shell of the boundary
+    def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        return x
 
 
 def translate_domain(spec, anchor, params: HopfParams,

@@ -199,6 +199,19 @@ class BoundaryModel:
             raise InvalidInputError("p0(0) must vanish")
         if len(self.p) > 1 and abs(self.p[1](0j)) > 0:
             raise InvalidInputError("p1(0) must vanish")
+        # the Levi residual differentiates p0 twice and p1 once; a
+        # derivative coefficient that overflows is named here, not as an
+        # overflow on the search disk
+        for n, order in ((0, 2), (1, 1)):
+            for (i, j), c in self.coeff(n).coeffs.items():
+                ds = [c * e for e in (i, j) if e > 0]
+                if order == 2:
+                    ds += [c * e * (e - 1) for e in (i, j) if e > 1]
+                bad = [d for d in ds if not math.isfinite(d)]
+                if bad:
+                    raise InvalidInputError(
+                        f"the p{n} coefficient {c:g} of x^{i} y^{j} has the "
+                        f"derivative coefficient {bad[0]:g}")
 
     def coeff(self, i: int) -> RealPoly2:
         return self.p[i] if i < len(self.p) else ZERO

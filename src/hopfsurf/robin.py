@@ -37,6 +37,10 @@ domain that declares thread_safe, one robin_constant call runs on one
 thread per CPU in the process's affinity mask, at most 2, with at most
 32,768 walks in flight across all threads (or one block per thread, if
 blocks are larger); the estimate has the same bits for any CPU count.
+The experiments walk all their translates in one call: the blocks of every
+problem share those live sets, each live walk carrying its problem's
+parameter row (a wall's normal and offset, a modulus region's ends), and
+each problem's walks keep the bits they have alone.
 """
 
 from __future__ import annotations
@@ -264,30 +268,68 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
                  config):
     """Step blocks of walks from the pole through one live set.
 
-    `blocks` is an iterator of (lo, nb, rng): walks lo .. lo + nb - 1, whose
-    directions rng draws.  A block joins the live set, its walks at the
-    pole, whenever a whole block (config.block_size walks) fits under the
-    cap: `first` walks for the first fill, `cap` after.  Live rows stay in
-    walk order; idx maps each to its walk number.  Each step draws every
-    block's live walks' directions, in walk order, into its slice of one
-    buffer, so every block sees exactly the stream it would see on its own,
-    and a block's walks still live after config.max_steps steps of its own
-    are truncated.  Writes each ended walk's kernel to contrib[walk];
-    returns (truncated, escaped).
+    `domain` is one walk domain and `r_max` its escape radius, or they are
+    equal-length lists of k walk problems of one walk_kind (see
+    _contributions) and contrib is a C-contiguous (k, n) array.  `blocks`
+    is an iterator of (lo, nb, rng): walks lo .. lo + nb - 1 of
+    contrib.reshape(-1), all of one problem, whose directions rng draws.  A
+    block joins the live set, its walks at the pole, whenever a whole block
+    (config.block_size walks) fits under the cap: `first` walks for the
+    first fill, `cap` after.  Live rows stay in walk order; idx maps each
+    to its walk number.  Each step draws every block's live walks'
+    directions, in walk order, into its slice of one buffer, so every
+    block sees exactly the stream it would see on its own, and a block's
+    walks still live after config.max_steps steps of its own are
+    truncated.  With several problems, each live walk carries its
+    problem's walk_row, filled when its block joins and compacted with it,
+    so a step makes one distance_rows call for all of them; a walk past
+    the least escape reach of the problems is tested against its own
+    problem's r_max.  One problem keeps its domain's own distance and
+    project.
+    Writes each ended walk's kernel to its entry of contrib; returns
+    (truncated, escaped), ints for one domain, arrays of k counts for a
+    list.
     """
+    several = isinstance(domain, list)
+    doms, r_maxes = (domain, r_max) if several else ([domain], [r_max])
+    k, n, out = len(doms), contrib.shape[-1], contrib.reshape(-1)
     bs, eps, max_steps = config.block_size, config.eps_shell, config.max_steps
-    room = min(cap, len(contrib))
+    room = min(cap, len(out))
     pos, dirs = np.empty((room, 4)), np.empty((room, 4))
     weight, travel = np.empty(room), np.empty(room)
     idx = np.empty(room, dtype=np.intp)
-    reach = _escape_reach(pole, r_max, max_steps)
+    # a walk with a shorter path has not reached its own problem's r_max
+    reach = min(_escape_reach(pole, r, max_steps) for r in r_maxes)
+    if k == 1:
+        dom, r_max = doms[0], r_maxes[0]
+
+        def distance(m):
+            return dom.distance(pos[:m])
+
+        def project(hits):
+            return dom.project(pos.take(hits, axis=0))
+    else:
+        table = np.array([d.walk_row for d in doms]).T
+        r_max = np.array(r_maxes)
+        # column i of rows is live walk i's walk_row
+        rows = np.empty((len(table), room))
+
+        def distance(m):
+            return doms[0].distance_rows(pos[:m], rows[:, :m])
+
+        def project(hits):
+            return doms[0].project_rows(pos.take(hits, axis=0),
+                                        rows.take(hits, axis=1))
     live = []  # (lo, rng, step it is truncated at) per block, in walk order
-    m = t = truncated = escaped = 0
+    m = t = 0
+    truncated, escaped = [0] * k, [0] * k
     limit = first  # walks a fill may bring the live set to
 
     def compact(keep):
         for a in (pos, weight, travel, idx):
             a[:len(keep)] = a.take(keep, axis=0)
+        if k > 1:
+            rows[:, :len(keep)] = rows.take(keep, axis=1)
         return len(keep)
 
     while True:
@@ -301,23 +343,33 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             weight[m:m + nb] = 1.0
             travel[m:m + nb] = 0.0
             idx[m:m + nb] = np.arange(lo, lo + nb)
+            if k > 1:
+                rows[:, m:m + nb] = table[:, lo // n, None]
             live.append((lo, rng, t + max_steps))
             m += nb
         limit = cap
         if not m:
-            return truncated, escaped
-        d = domain.distance(pos[:m])
+            break
+        d = distance(m)
         end = d <= eps
         hits = np.flatnonzero(end)
         if len(hits):
-            r = _norm(domain.project(pos.take(hits, axis=0)) - pole)
+            r = _norm(project(hits) - pole)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
-            contrib[idx.take(hits)] = weight.take(hits) * kernel(r)
+            out[idx.take(hits)] = weight.take(hits) * kernel(r)
         far = np.flatnonzero(travel[:m] >= reach)
         if len(far):
             far = far.compress(~end.take(far))
-            far = far.compress(_norm(pos.take(far, axis=0) - pole) >= r_max)
-            escaped += len(far)
+            gone = _norm(pos.take(far, axis=0) - pole)
+            if k == 1:
+                far = far.compress(gone >= r_max)
+                escaped[0] += len(far)
+            else:
+                j = idx.take(far) // n  # each row's problem
+                gone = gone >= r_max.take(j)
+                far = far.compress(gone)
+                escaped = [e + c for e, c in zip(escaped, np.bincount(
+                    j.compress(gone), minlength=k).tolist())]
             end[far] = True
         if len(hits) or len(far):
             keep = np.flatnonzero(~end)
@@ -341,9 +393,13 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
         due = sum(blk[2] == t for blk in live)
         if due:
             cut = spans[due][1] if due < len(spans) else m
-            truncated += cut
+            for (lo, _, _), a, b in spans[:due]:
+                truncated[lo // n] += b - a
             m = compact(np.arange(cut, m))
             live = live[due:]
+    if several:
+        return np.array(truncated), np.array(escaped)
+    return truncated[0], escaped[0]
 
 
 def _stderr(x: np.ndarray) -> float:
@@ -357,7 +413,7 @@ def _stderr(x: np.ndarray) -> float:
     return math.ldexp(float(se), k)
 
 
-def _contributions(domain, pole, n_walks: int, seed: int,
+def _contributions(domain, pole, n_walks: int, seed,
                    c_weight: float = 0.0, config: WosConfig = WosConfig()):
     """The walks of robin_constant: (contrib, truncated, escaped, r_max).
 
@@ -372,57 +428,84 @@ def _contributions(domain, pole, n_walks: int, seed: int,
     project give each row of an (n, 4) call the bits of a one-row call on
     it, whatever n: every built-in domain does.
 
-    A domain that declares thread_safe = True (Ball, HalfSpace and the
-    translates, ProductHalfPlane and ModulusRegion, do), so that its distance and project may run on several
-    threads at once, has its blocks run on _WORKERS threads, the calling one
-    among them, one per CPU in the process's affinity mask and at most 2;
-    numpy releases the GIL inside its array loops, so the threads overlap.
-    Any other domain object runs on the calling thread alone.  A thread's live
-    set holds at most _WAVE_WALKS // workers walks or one block, whichever
-    is more, so at most max(_WAVE_WALKS, workers * block_size) walks are in
-    flight; its first fill takes at most its even share of the blocks.
-    Each walk's kernel lands at its index, so the result is the same, bit
-    for bit, for any number of threads.  An error on any thread stops the
+    `domain` and `seed` may instead be equal-length lists of k problems,
+    n_walks walks each, that share the pole: then every output gains a
+    leading axis of k, and problem j's entries have the bits of a call on
+    (domain[j], seed[j]) alone.  Their blocks, problem by problem, form
+    one queue through the same live sets; each block keeps its problem's
+    generator default_rng([seed[j], b]), r_max and max_steps deadline.
+    Several problems must share one walk_kind (a HalfSpace, a
+    ProductHalfPlane or a ModulusRegion of one rho and one set of finite
+    ends), whose distance_rows and project_rows step them all at once.
+
+    When every domain declares thread_safe = True (Ball, HalfSpace and the
+    translates, ProductHalfPlane and ModulusRegion, do), so that its
+    distance and project may run on several threads at once, the blocks
+    run on _WORKERS threads, the calling one among them, one per CPU in
+    the process's affinity mask and at most 2; numpy releases the GIL
+    inside its array loops, so the threads overlap.  Any other domain
+    object runs on the calling thread alone.  A thread's live set holds at
+    most _WAVE_WALKS // workers walks or one block, whichever is more, so
+    at most max(_WAVE_WALKS, workers * block_size) walks are in flight;
+    its first fill takes at most its even share of the blocks.  Each
+    walk's kernel lands at its index, so the result is the same, bit for
+    bit, for any number of threads.  An error on any thread stops the
     queue and is raised once every thread has stopped.
     """
+    several = isinstance(domain, list)
+    doms, seeds = (domain, seed) if several else ([domain], [seed])
+    if not (isinstance(seeds, list) and 0 < len(doms) == len(seeds)):
+        raise InvalidInputError("a list of domains needs a list of as many "
+                                "seeds, at least one")
     _require_samples(n_walks, "n_walks")
-    _require_seed(seed)
+    for s in seeds:
+        _require_seed(s)
     _require_nonneg(c_weight, "c_weight")
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,) or not np.isfinite(pole).all():
         raise InvalidInputError(f"pole must be a finite 4-vector, got {pole}")
-    d0 = float(domain.distance(pole[None])[0])
-    if not math.isfinite(d0):
-        raise InvalidInputError(f"distance from the pole is {d0}")
-    if d0 <= config.eps_shell:
-        raise EvaluationError("pole is outside the domain or within the "
-                              f"termination shell (distance {d0})")
-    r_max = config.r_max_factor * d0
+    kind = getattr(doms[0], "walk_kind", None)
+    if len(doms) > 1 and (kind is None or any(
+            getattr(d, "walk_kind", None) != kind for d in doms)):
+        raise InvalidInputError("several walk problems must share one "
+                                "walk_kind")
+    r_max = []
+    for d in doms:
+        d0 = float(d.distance(pole[None])[0])
+        if not math.isfinite(d0):
+            raise InvalidInputError(f"distance from the pole is {d0}")
+        if d0 <= config.eps_shell:
+            raise EvaluationError("pole is outside the domain or within the "
+                                  f"termination shell (distance {d0})")
+        r_max.append(config.r_max_factor * d0)
 
-    bs = config.block_size
+    k, bs = len(doms), config.block_size
     n_blocks = -(-n_walks // bs)
-    workers = min(_WORKERS if getattr(domain, "thread_safe", False) else 1,
-                  n_blocks)
+    safe = all(getattr(d, "thread_safe", False) for d in doms)
+    # a thread per block's worth of walks at most: the small blocks of
+    # several short problems share one thread, as one such block would
+    workers = min(_WORKERS if safe else 1, -(-k * n_walks // bs))
     cap = max(_WAVE_WALKS // workers, bs)
-    first = min(cap, -(-n_blocks // workers) * bs)
-    contrib = np.zeros(n_walks)
+    first = min(cap, -(-k * n_blocks // workers) * bs)
+    contrib = np.zeros((k, n_walks))
     lock = threading.Lock()
-    queue = iter(range(n_blocks))
+    queue = iter(range(k * n_blocks))
     tallies, errors = [], []
 
     def blocks():
         """The next blocks of the shared queue; none once a thread failed."""
         while True:
             with lock:
-                b = None if errors else next(queue, None)
-            if b is None:
+                q = None if errors else next(queue, None)
+            if q is None:
                 return
-            yield (b * bs, min(bs, n_walks - b * bs),
-                   np.random.default_rng([seed, b]))
+            j, b = divmod(q, n_blocks)
+            yield (j * n_walks + b * bs, min(bs, n_walks - b * bs),
+                   np.random.default_rng([seeds[j], b]))
 
     def work():
         try:
-            tallies.append(_walk_blocks(domain, pole, blocks(), first, cap,
+            tallies.append(_walk_blocks(doms, pole, blocks(), first, cap,
                                         contrib, c_weight, r_max, config))
         except BaseException as exc:  # raised below, after every join
             with lock:
@@ -436,8 +519,11 @@ def _contributions(domain, pole, n_walks: int, seed: int,
         h.join()
     if errors:
         raise errors[0]
-    return (contrib, sum(w[0] for w in tallies), sum(w[1] for w in tallies),
-            r_max)
+    truncated = sum(w[0] for w in tallies)
+    escaped = sum(w[1] for w in tallies)
+    if several:
+        return contrib, truncated, escaped, np.array(r_max)
+    return contrib[0], int(truncated[0]), int(escaped[0]), r_max[0]
 
 
 def robin_constant(domain, pole, n_walks: int, seed: int,
@@ -529,20 +615,30 @@ def boundary_behavior_experiment(spec, anchors: Sequence, params,
     As the anchors approach the boundary the distance from the identity to
     the translated boundary shrinks and lambda_hat dives; for the half-plane
     family both the distance (cos theta) and the limit law -1/(4 cos^2
-    theta) are exact.
+    theta) are exact.  Every anchor is checked and translated before any
+    walk runs; then one _contributions call walks all the translates
+    through the same live sets, anchor j with its own seed, each row with
+    the bits of a robin_constant call on its translate alone, whatever the
+    thread count.
     """
-    rows = []
+    rows, tds, seeds = [], [], []
     for j, anchor in enumerate(anchors):
         td = _domains.translate_domain(spec, anchor, params, inv)
         lo, hi = _domains.distance_to_identity(td)
         seed = np.random.SeedSequence([budget.seed, j]).generate_state(1)[0]
-        est = robin_constant(td, identity_point(), budget.n_walks, int(seed))
-        rows.append(BoundaryRow(
-            anchor_z=complex(anchor[0]), anchor_w=complex(anchor[1]),
-            theta=td.theta, dist_lower=lo, dist_upper=hi,
-            lambda_hat=est.lambda_hat, stderr=est.stderr,
-            n_walks=est.n_walks, truncated_walks=est.truncated_walks))
-    return rows
+        rows.append(dict(anchor_z=complex(anchor[0]),
+                         anchor_w=complex(anchor[1]), theta=td.theta,
+                         dist_lower=lo, dist_upper=hi))
+        tds.append(td)
+        seeds.append(int(seed))
+    if not tds:
+        return []
+    contrib, truncated, _, _ = _contributions(tds, identity_point(),
+                                              budget.n_walks, seeds)
+    return [BoundaryRow(**row, lambda_hat=-float(np.mean(c)),
+                        stderr=_stderr(c), n_walks=budget.n_walks,
+                        truncated_walks=int(t))
+            for row, c, t in zip(rows, contrib, truncated)]
 
 
 @dataclass(frozen=True)
@@ -562,36 +658,41 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
     Evaluates the -lambda proxy at anchor and at grid_n points on the circle
     of radius disk_radius in the line t -> anchor + t*direction, and checks
     mean(ring) - center >= -3 sigma.  All line points must stay inside the
-    domain.  Every point runs the same walks (seed budget.seed), so walk i
-    gives one paired difference mean_j(c_j - c_0) of its ring and center
-    kernels; residual is their mean and stderr its standard error.  Points
-    with the same translate give exact zeros.
+    domain; each is checked and translated before any walk runs, and one
+    _contributions call then walks every translate through the same live
+    sets, with the bits each has alone, whatever the thread count.  Every
+    point runs the same walks (seed budget.seed), so walk i gives one
+    paired difference mean_j(c_j - c_0) of its ring and center kernels;
+    residual is their mean and stderr its standard error.  Points with the
+    same translate walk once and give exact zeros.
     """
     _require_samples(grid_n, "grid_n", 3)
     _require_nonneg(disk_radius, "disk_radius")
     dz, dw = complex(direction[0]), complex(direction[1])
     z0, w0 = complex(anchor[0]), complex(anchor[1])
-
-    def contributions_at(pt):
-        res = _domains.evaluate_domain(spec, pt, params, inv)
-        if not res.inside:
-            raise EvaluationError(f"line point {pt} leaves the domain")
-        return _contributions(spec.translate(pt, params, inv),
-                              identity_point(), budget.n_walks,
-                              budget.seed)[0]
-
-    center = contributions_at((z0, w0))
-    ring = []
-    diff = np.zeros_like(center)
+    points = [(z0, w0)]
     for j in range(grid_n):
         t = disk_radius * complex(math.cos(2 * math.pi * j / grid_n),
                                   math.sin(2 * math.pi * j / grid_n))
-        c = contributions_at((z0 + t * dz, w0 + t * dw))
-        ring.append(float(np.mean(c)))
+        points.append((z0 + t * dz, w0 + t * dw))
+    tds, unique = [], []
+    for pt in points:
+        if not _domains.evaluate_domain(spec, pt, params, inv).inside:
+            raise EvaluationError(f"line point {pt} leaves the domain")
+        tds.append(spec.translate(pt, params, inv))
+        if tds[-1] not in unique:
+            unique.append(tds[-1])
+    # equal translates on one seed walk alike, so each walks once
+    walks = _contributions(unique, identity_point(), budget.n_walks,
+                           [budget.seed] * len(unique))[0]
+    center, *ring = (walks[unique.index(td)] for td in tds)
+    diff = np.zeros_like(center)
+    for c in ring:
         diff += c - center
     diff /= grid_n
     residual = float(np.mean(diff))
     se = _stderr(diff)
-    return PshReport(center_value=float(np.mean(center)), ring_values=ring,
+    return PshReport(center_value=float(np.mean(center)),
+                     ring_values=[float(np.mean(c)) for c in ring],
                      residual=residual, stderr=se,
                      consistent=(residual >= -3.0 * se))

@@ -167,6 +167,13 @@ class TestBoundaryCommands:
             "--n-samples", "100"],
            f"the sampled check needs log b <= 141.422 (b <= 2.62e+61), "
            f"got b = {float(b)}"] for b in ("1e65", "1e70", "1e150")),
+        # d/dx of 1e308 x^3 is inf: this named r1 as the overflow
+        (["diamond", "--p0", "[[3,0,1e308],[1,2,-1e308]]", "--r1", "1e-10"],
+         "the p0 coefficient 1e+308 of x^3 y^0 has the derivative "
+         "coefficient inf"),
+        (["sweep-cover", "--p0", "[[2,0,1]]", "--p1", "[[0,2,1e308]]"],
+         "the p1 coefficient 1e+308 of x^0 y^2 has the derivative "
+         "coefficient inf"),
     ])
     def test_out_of_range_exit_2(self, capsys, argv, message):
         # a warning raised as an error would exit 1

@@ -15,7 +15,7 @@ from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.levi import (BoundaryModel, Jet2, diamond_search, levi2_residual,
                            levi_form, numeric_jet, pseudoconvexity_scan,
                            sweep_cover_check)
-from hopfsurf.poly import RealPoly2, from_complex_term
+from hopfsurf.poly import ZERO, RealPoly2, from_complex_term
 
 P23 = HopfParams(2 + 0j, 3 + 0j)
 INV23 = derive_invariants(P23, Numeric())
@@ -398,11 +398,39 @@ class TestBoundaryModel:
         ((RealPoly2({(0, 0): 0.5, (1, 0): 1.0}),), "p0(0) must vanish"),
         ((RealPoly2({(1, 0): 1.0}), RealPoly2({(0, 0): -2.0})),
          "p1(0) must vanish"),
+        # first and second derivative coefficients of p0 that overflow;
+        # these were reported as an overflow on |z| <= r1
+        ((RealPoly2({(3, 0): 1e308, (1, 2): -1e308}),),
+         "the p0 coefficient 1e+308 of x^3 y^0 has the derivative "
+         "coefficient inf"),
+        ((RealPoly2({(3, 0): 1.0, (1, 2): -1e308}),),
+         "the p0 coefficient -1e+308 of x^1 y^2 has the derivative "
+         "coefficient -inf"),
+        ((RealPoly2({(0, 4): 2e307}),),
+         "the p0 coefficient 2e+307 of x^0 y^4 has the derivative "
+         "coefficient inf"),
+        ((RealPoly2({(2, 0): 1.0}), RealPoly2({(0, 3): -1e308})),
+         "the p1 coefficient -1e+308 of x^0 y^3 has the derivative "
+         "coefficient -inf"),
+        ((RealPoly2({(1, 0): math.nan}),),
+         "the p0 coefficient nan of x^1 y^0 has the derivative "
+         "coefficient nan"),
     ])
     def test_rejects_malformed_models(self, p, message):
         with pytest.raises(InvalidInputError,
                            match=f"^{re.escape(message)}$"):
             BoundaryModel(p=p)
+
+    @pytest.mark.parametrize("p", [
+        # derivative coefficients up to 1.6e308; p1's second derivatives
+        # (here 3e308) and p2's derivatives are never taken
+        (RealPoly2({(0, 4): 4e307 / 3}),),
+        (RealPoly2({(1, 1): 1e308}),),
+        (RealPoly2({(2, 0): 1.0}), RealPoly2({(0, 3): 5e307})),
+        (RealPoly2({(2, 0): 1.0}), ZERO, RealPoly2({(4, 0): 1e308})),
+    ])
+    def test_accepts_finite_derivative_coefficients(self, p):
+        BoundaryModel(p=p)
 
 
 class TestRealPoly2:

@@ -331,6 +331,23 @@ def test_product_half_plane_walks_on_its_wall(theta, n, seed):
             [f(x[i:i + 1]) for i in range(n)]).tobytes()
 
 
+@PROPERTY
+@given(walls=st.lists(half_spaces(), min_size=1, max_size=8),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32))
+def test_wall_rows_give_each_wall_its_own_bits(walls, n, seed):
+    # several walls walk in one live set, each point with its wall's
+    # walk_row as a column; every point gets its own wall's bits
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1e3, 1e3, (n, 4))
+    mine = rng.integers(0, len(walls), n)
+    rows = np.array([walls[j].walk_row for j in mine]).T
+    for f, own in ((walls[0].distance_rows, "distance"),
+                   (walls[0].project_rows, "project")):
+        want = np.concatenate([getattr(walls[j], own)(x[i:i + 1])
+                               for i, j in enumerate(mine)])
+        assert f(x, rows).tobytes() == want.tobytes()
+
+
 def _curve_distance(p1, p2, k, rho):
     """Distance from (p1, p2) to the increasing curve s2 = k s1^rho.
 
@@ -389,6 +406,26 @@ def modulus_translates(draw):
 
 # moduli near both axes and the cusp at the origin, or on a finite-end curve
 _log_moduli = st.floats(-12.0, 3.0)
+
+
+@PROPERTY
+@given(td=modulus_translates(),
+       shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
+       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+def test_modulus_rows_give_each_region_its_own_bits(td, shifts, n, seed):
+    # regions of one walk_kind differ in their ends alone; each point, with
+    # its region's walk_row as a column, gets that region's own bits
+    regions = [ModulusRegion(td.log_k1 + s, td.log_k2 + s, td.rho)
+               for s in shifts]
+    assert {r.walk_kind for r in regions} == {td.walk_kind}
+    rng = np.random.default_rng(seed)
+    x = np.exp(rng.uniform(-3.0, 1.0, (n, 4))) * rng.choice([-1.0, 1.0],
+                                                           (n, 4))
+    mine = rng.integers(0, len(regions), n)
+    rows = np.array([regions[j].walk_row for j in mine]).T
+    want = np.concatenate([regions[j].distance(x[i:i + 1])
+                           for i, j in enumerate(mine)])
+    assert td.distance_rows(x, rows).tobytes() == want.tobytes()
 
 
 @PROPERTY

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -27,6 +28,8 @@ from hopfsurf.robin import (Ball, ExperimentBudget, HalfSpace, WosConfig,
                             psh_spot_check, robin_constant,
                             solvable_from_translate)
 
+P23 = HopfParams(2 + 0j, 3 + 0j)
+INV23 = derive_invariants(P23, Numeric())
 P24 = HopfParams(2 + 0j, 4 + 0j)
 INV24 = derive_invariants(P24, Numeric())
 E = identity_point()
@@ -589,6 +592,137 @@ class TestThreadedWaves:
         assert at_pole[0] == 64 and sum(at_pole) == 64
 
 
+# five interior anchors per kind; the translates of one spec share a
+# walk_kind (one rho and one set of finite ends) and differ in their ends
+MODULUS_ANCHORS = {
+    LevelBand(0.5, 2.0): [(1.5, 1.5), (1.2, 1.2), (1.3, 1.6), (1.1, 0.9),
+                          (1.4, 2.0)],
+    SubLevel(1.5): [(1.5, 0.3), (1.2, 0.5), (1.3, 0.8), (1.1, 1.0),
+                    (1.6, 1.2)],
+    SuperLevel(1.5): [(0.3, 1.5), (0.5, 1.2), (0.6, 1.0), (0.4, 0.8),
+                      (0.7, 1.5)],
+}
+
+
+def modulus_translates(spec):
+    return [translate_domain(spec, (complex(z), complex(w)), P23)
+            for z, w in MODULUS_ANCHORS[spec]]
+
+
+def product_half_planes():
+    return [translate_domain(Nemirovskii(1.0, 0.0),
+                             (1 + 0j, -complex(math.cos(th), math.sin(th))),
+                             P24, INV24)
+            for th in (0.0, 0.4, -0.7, 1.1, 1.3)]
+
+
+def half_spaces():
+    # distinct normals and offsets, E at distance 0.5 .. 1.3 from each
+    rng = np.random.default_rng(17)
+    out = []
+    for dist in (1.0, 0.5, 1.3, 0.8, 0.6):
+        n = rng.standard_normal(4)
+        n /= np.linalg.norm(n)
+        out.append(HalfSpace(normal=tuple(n), offset=float(n @ E) - dist))
+    return out
+
+
+class TestBatchedProblems:
+    """_contributions on a list of problems: each problem's outputs have
+    the bits of a call on that problem alone."""
+
+    # 600 walks in blocks of 256 (the last one ragged), live sets of two
+    # blocks per thread, so blocks of different problems share live sets
+    CFG = WosConfig(block_size=256)
+    CASES = {
+        "product_half_planes": (product_half_planes, 0.0, CFG),
+        "half_spaces": (half_spaces, 0.0, CFG),
+        "level_band": (lambda: modulus_translates(LevelBand(0.5, 2.0)), 0.0,
+                       CFG),
+        "sub_level": (lambda: modulus_translates(SubLevel(1.5)), 0.0, CFG),
+        "super_level": (lambda: modulus_translates(SuperLevel(1.5)), 0.0,
+                        CFG),
+        "screened": (product_half_planes, 0.5, CFG),
+        "truncated": (half_spaces, 0.0, WosConfig(block_size=256,
+                                                  max_steps=6)),
+        "escaping": (lambda: modulus_translates(LevelBand(0.5, 2.0)), 0.0,
+                     WosConfig(block_size=256, r_max_factor=3.0)),
+    }
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_each_problem_matches_its_own_call(self, monkeypatch, case, k,
+                                               workers):
+        make, c, cfg = self.CASES[case]
+        doms = make()[:k]
+        seeds = [11 + 7 * j for j in range(k)]
+        monkeypatch.setattr(robin, "_WORKERS", workers)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", workers * 512)
+        contrib, truncated, escaped, r_max = robin._contributions(
+            doms, E, 600, seeds, c, cfg)
+        assert contrib.shape == (k, 600)
+        for j, (dom, seed) in enumerate(zip(doms, seeds)):
+            one = robin._contributions(dom, E, 600, seed, c, cfg)
+            assert contrib[j].tobytes() == one[0].tobytes()
+            assert (truncated[j], escaped[j], r_max[j]) == one[1:]
+        if case == "truncated":
+            assert truncated.min() > 0
+        if case == "escaping":
+            assert escaped.min() > 0
+
+    def test_one_seed_for_every_problem_pairs_the_walks(self):
+        # equal problems with equal seeds give equal rows
+        dom = product_half_planes()[1]
+        contrib = robin._contributions([dom, dom, dom], E, 300, [4] * 3)[0]
+        assert (contrib[0] == contrib[1]).all()
+        assert (contrib[0] == contrib[2]).all()
+
+    @pytest.mark.parametrize("doms, seeds", [
+        ([HS, BAND], [1, 2]),
+        ([BAND, translate_domain(LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j),
+                                 P24)], [1, 2]),
+        ([BAND, modulus_translates(SubLevel(1.5))[0]], [1, 2]),
+        ([OFF_BALL, OFF_BALL], [1, 2]),
+        ([HS, HS], [1]), ([HS, HS], 1), ([], [])])
+    def test_problems_must_share_a_walk_kind(self, doms, seeds):
+        with pytest.raises(InvalidInputError):
+            robin._contributions(doms, E, 100, seeds)
+
+    def test_bad_seed_in_a_list_rejected(self):
+        with pytest.raises(InvalidInputError):
+            robin._contributions([HS, HS], E, 100, [1, -1])
+
+    @pytest.mark.parametrize("delay", [0.0, 0.3])
+    def test_helper_error_is_raised_after_every_join(self, monkeypatch,
+                                                     delay):
+        # two problems of one 256-walk block each, one block per live set:
+        # the helper thread fails on its first step, whichever problem it
+        # holds; the calling thread waits for that step before it steps
+        monkeypatch.setattr(robin, "_WORKERS", 2)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 512)
+        caller = threading.get_ident()
+        stepped = threading.Event()
+
+        class FailingWall(HalfSpace):
+            def distance_rows(self, x, rows):
+                if threading.get_ident() != caller:
+                    stepped.set()
+                    time.sleep(delay)
+                    raise EvaluationError(
+                        f"problem at offset {rows[4, 0]} failed")
+                if len(x) > 1:  # not a pole's distance
+                    assert stepped.wait(10)
+                return super().distance_rows(x, rows)
+
+        walls = [FailingWall(HS.normal, off) for off in (0.0, -0.5)]
+        before = threading.active_count()
+        with pytest.raises(EvaluationError, match="problem at offset"):
+            robin._contributions(walls, E, 256, [1, 2],
+                                 config=WosConfig(block_size=256))
+        assert threading.active_count() == before
+
+
 class TestWosInputValidation:
     @pytest.mark.parametrize("kw", [
         {"block_size": 0}, {"block_size": -3}, {"max_steps": 0},
@@ -715,6 +849,50 @@ class TestBoundaryExperiment:
         assert len(calls) <= 1
 
 
+    def test_anchor_outside_fails_before_any_walk(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(robin, "_contributions",
+                            lambda *a, **kw: calls.append(a))
+        anchors = [(1 + 0j, -1 + 0j), (1 + 0j, 1 + 0j)]
+        msg = ("anchor ((1+0j), (1+0j)) is not inside the domain "
+               "(residual 4.0)")
+        with pytest.raises(EvaluationError, match=f"^{re.escape(msg)}$"):
+            boundary_behavior_experiment(
+                Nemirovskii(1.0, 0.0), anchors, P24, inv=INV24,
+                budget=ExperimentBudget(n_walks=100, seed=5))
+        assert calls == []
+
+    def test_no_anchors_give_no_rows(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(robin, "_contributions",
+                            lambda *a, **kw: calls.append(a))
+        assert boundary_behavior_experiment(Nemirovskii(1.0, 0.0), [], P24,
+                                            inv=INV24) == []
+        assert calls == []
+
+    @pytest.mark.parametrize("spec, anchors, params", [
+        (Nemirovskii(1.0, 0.0),
+         [(1 + 0j, -complex(math.cos(th), math.sin(th)))
+          for th in (0.0, 0.9, -1.2)], P24),
+        (LevelBand(0.5, 2.0), [(1.2 + 0j, 1.2 + 0j), (1.5 + 0j, 1.2 + 0j)],
+         P23),
+        (SubLevel(1.5), [(1.5 + 0j, 0.3 + 0j)], P23)])
+    def test_rows_are_robin_constants_of_the_translates(self, spec,
+                                                        anchors, params):
+        budget = ExperimentBudget(n_walks=1500, seed=3)
+        rows = boundary_behavior_experiment(spec, anchors, params,
+                                            budget=budget)
+        assert len(rows) == len(anchors)
+        for j, (row, anchor) in enumerate(zip(rows, anchors)):
+            seed = np.random.SeedSequence([3, j]).generate_state(1)[0]
+            est = robin_constant(translate_domain(spec, anchor, params), E,
+                                 1500, int(seed))
+            assert (row.lambda_hat, row.stderr, row.n_walks,
+                    row.truncated_walks) == (est.lambda_hat, est.stderr,
+                                             est.n_walks,
+                                             est.truncated_walks)
+
+
 class TestPshSpotCheck:
     def test_nemirovskii_proxy_is_consistent(self):
         spec = Nemirovskii(1.0, 0.0)
@@ -760,6 +938,23 @@ class TestPshSpotCheck:
                            (0j, 1 + 0j), 2.0, 3, P24, inv=INV24,
                            budget=ExperimentBudget(n_walks=100, seed=5))
 
+    @pytest.mark.parametrize("direction, radius, point", [
+        (0j + 1, 2.0, "((1+0j), (1+0j))"),
+        (0j - 1, 3.0, "((1+0j), (0.49999999999999933-2.598076211353316j))")])
+    def test_ring_point_outside_fails_before_any_walk(self, monkeypatch,
+                                                      direction, radius,
+                                                      point):
+        # ring point 0 or 1 of three leaves the half-plane; no walk runs
+        calls = []
+        monkeypatch.setattr(robin, "_contributions",
+                            lambda *a, **kw: calls.append(a))
+        msg = f"line point {point} leaves the domain"
+        with pytest.raises(EvaluationError, match=f"^{re.escape(msg)}$"):
+            psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
+                           (0j, direction), radius, 3, P24, inv=INV24,
+                           budget=ExperimentBudget(n_walks=100, seed=5))
+        assert calls == []
+
     # the wos_translated benchmark's check: ring point 0 has the center's
     # translate, and the other two are walls at nearby angles
     LINE = (Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j), (0j, 1 + 0j), 0.1, 3,
@@ -774,6 +969,26 @@ class TestPshSpotCheck:
         return [robin._contributions(
             solvable_from_translate(spec.translate(pt, P24, INV24)), E,
             budget.n_walks, budget.seed)[0] for pt in pts]
+
+    @pytest.mark.parametrize("radius, walked", [(0.1, 3), (0.0, 1)])
+    def test_equal_translates_walk_once(self, monkeypatch, radius, walked):
+        # ring point 0 moves along the ray of the center's w, so it has the
+        # center's translate; with radius 0 every point has it
+        calls = []
+        contributions = robin._contributions
+
+        def spy(domains, *args, **kw):
+            calls.append(domains)
+            return contributions(domains, *args, **kw)
+
+        monkeypatch.setattr(robin, "_contributions", spy)
+        spec, anchor, direction, _, grid_n, params, inv = self.LINE
+        rep = psh_spot_check(spec, anchor, direction, radius, grid_n, params,
+                             inv, budget=ExperimentBudget(n_walks=300,
+                                                          seed=5))
+        assert [len(c) for c in calls] == [walked]
+        if radius == 0.1:
+            assert rep.ring_values[0] == rep.center_value
 
     def test_center_value_is_the_robin_estimate(self):
         budget = ExperimentBudget(n_walks=3000, seed=11)
@@ -820,10 +1035,6 @@ class TestPshSpotCheck:
             psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
                            (0j, 1 + 0j), radius, 3, P24, inv=INV24,
                            budget=ExperimentBudget(n_walks=100, seed=5))
-
-
-P23 = HopfParams(2 + 0j, 3 + 0j)
-INV23 = derive_invariants(P23, Numeric())
 
 
 class TestCertifiedModulusDistance:
