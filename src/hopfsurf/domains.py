@@ -30,10 +30,10 @@ w-coordinate whose distance to the identity is exactly cos(theta), theta the
 anchor's angular offset inside the half-plane.  Each translate is its own
 thread_safe walk domain in R^4 (distance and project per row); a
 ProductHalfPlane walks on its HalfSpace wall, defined here.  The walls and
-the translates also hold a parameter vector, walk_row, and a walk_kind;
-their distance_rows and project_rows take one walk_row per point, so
-problems of one walk_kind can walk together, and distance and project are
-the same code on their own row.
+the translates share one base, _RowWalk: each holds a parameter vector,
+walk_row, and a walk_kind, and its distance_rows and project_rows take
+one walk_row per point, so problems of one walk_kind can walk together;
+the base's distance and project are those on the domain's own row.
 """
 
 from __future__ import annotations
@@ -408,13 +408,28 @@ def _curves_distance(ks: list[float], rho: float) -> float:
     return float(best)
 
 
+class _RowWalk:
+    """Base of the walk domains that walk on a parameter row, walk_row: a
+    subclass sets walk_row and walk_kind and defines distance_rows(x, rows)
+    and project_rows(x, rows), which take one walk_row for every point of
+    x or one column of rows per point; distance and project are those on
+    its own row, so one problem and several of a walk_kind share the code."""
+
+    thread_safe = True  # not a dataclass field; see robin._contributions
+
+    def distance(self, x: np.ndarray) -> np.ndarray:
+        return self.distance_rows(x, self.walk_row)
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return self.project_rows(x, self.walk_row)
+
+
 @dataclass(frozen=True)
-class HalfSpace:
+class HalfSpace(_RowWalk):
     """{x : <x, normal> > offset}."""
 
     normal: tuple
     offset: float = 0.0
-    thread_safe = True  # not a dataclass field; see robin._contributions
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
@@ -423,18 +438,15 @@ class HalfSpace:
                                     f"got {self.normal}")
         if not math.isfinite(self.offset):
             raise InvalidInputError(f"offset must be finite, got {self.offset}")
+        # scaled, exactly, by the power of two that brings max|n_i| into
+        # [0.5, 1), so the norm's sum of squares is neither inf nor 0
+        n = np.ldexp(n, -math.frexp(float(np.max(np.abs(n))))[1])
         nn = np.linalg.norm(n)
         if nn == 0:
             raise InvalidInputError("normal must be nonzero")
         object.__setattr__(self, "normal", tuple(n / nn))
         object.__setattr__(self, "walk_row", (*self.normal, self.offset))
         object.__setattr__(self, "walk_kind", type(self))
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        return self.distance_rows(x, self.walk_row)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.project_rows(x, self.walk_row)
 
     def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
         """distance(x) on the walls whose walk_row (normal, offset) has
@@ -460,27 +472,27 @@ def half_space_from_theta(theta: float) -> HalfSpace:
                      offset=0.0)
 
 
-class TranslatedDomain:
+class TranslatedDomain(_RowWalk):
     """Base of the recentered kinds: residual(xi, eta), distance_bounds,
-    the walk-domain methods distance(x) and project(x), and walk_row,
-    walk_kind, distance_rows(x, rows) and project_rows(x, rows), which
-    the experiments use to walk several translates at once."""
+    and the row walk of _RowWalk, whose distance_rows and project_rows the
+    experiments use to walk several translates at once."""
 
     theta: Optional[float] = None  # angular offset, half-plane kinds only
-    thread_safe = True  # not a dataclass field; see robin._contributions
 
 
 @dataclass(frozen=True)
 class ProductHalfPlane(TranslatedDomain):
     """C*_xi times a half-plane through 0 in eta; identity at angle theta.
-    It walks on its wall, half_space_from_theta(theta), bit for bit."""
+    It walks on its wall, half_space_from_theta(theta), bit for bit: the
+    wall's walk_row and HalfSpace's row methods."""
 
     theta: float
+    distance_rows = HalfSpace.distance_rows
+    project_rows = HalfSpace.project_rows
 
     def __post_init__(self):
-        wall = half_space_from_theta(self.theta)
-        object.__setattr__(self, "wall", wall)
-        object.__setattr__(self, "walk_row", wall.walk_row)
+        object.__setattr__(self, "walk_row",
+                           half_space_from_theta(self.theta).walk_row)
         object.__setattr__(self, "walk_kind", type(self))
 
     def residual(self, xi: complex, eta: complex) -> float:
@@ -490,18 +502,6 @@ class ProductHalfPlane(TranslatedDomain):
     def distance_bounds(self):
         d = math.cos(self.theta)
         return (d, d)
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        return self.wall.distance(x)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.wall.project(x)
-
-    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        return self.wall.distance_rows(x, rows)
-
-    def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        return self.wall.project_rows(x, rows)
 
 
 @dataclass(frozen=True)
@@ -533,8 +533,11 @@ class ModulusRegion(TranslatedDomain):
         best = _curves_distance(ks, self.rho)
         return (best - _DIST_TOL, best + _DIST_TOL)
 
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        """Certified lower bound on the distance to the boundary in R^4.
+    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
+        """Certified lower bound on the distance to the boundary in R^4 of
+        the translates of this one's walk_kind whose walk_row (log_k1,
+        log_k2) has entries rows[i]: one walk_row for every point of x, or
+        a (2, n) array, one column per point.
 
         With s1 = |xi|, s2 = |eta|, F = log s2 - rho log s1 and L =
         hypot(rho/s1, 1/s2), the bound is the least gap / (L + gap/s) over
@@ -545,15 +548,6 @@ class ModulusRegion(TranslatedDomain):
         rho r1/(s1 - r) <= r L / (1 - r/s1), which is < gap exactly when
         r < gap / (L + gap/s1); the lower end is the same with s2.
         """
-        return self.distance_rows(x, self.walk_row)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return x  # a walk ends within eps_shell of the boundary
-
-    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        """distance(x) on the translates of this one's walk_kind whose
-        walk_row (log_k1, log_k2) has entries rows[i]: one walk_row for
-        every point of x, or a (2, n) array, one column per point."""
         _, rho, lo_finite, hi_finite = self.walk_kind
         lo, hi = rows
         x = np.atleast_2d(x)
@@ -570,7 +564,7 @@ class ModulusRegion(TranslatedDomain):
         return np.where(np.isnan(out), 0.0, out)
 
     def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        return x
+        return x  # a walk ends within eps_shell of the boundary
 
 
 def translate_domain(spec, anchor, params: HopfParams,

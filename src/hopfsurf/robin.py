@@ -37,8 +37,9 @@ domain that declares thread_safe, one robin_constant call runs on one
 thread per CPU in the process's affinity mask, at most 2, with at most
 32,768 walks in flight across all threads (or one block per thread, if
 blocks are larger); the estimate has the same bits for any CPU count.
-The experiments walk all their translates in one call: the blocks of every
-problem share those live sets, each live walk carrying its problem's
+The walks take one form, a list of walk problems: robin_constant walks a
+list of one, and the experiments walk all their translates in one list,
+whose blocks share those live sets, each live walk carrying its problem's
 parameter row (a wall's normal and offset, a modulus region's ends), and
 each problem's walks keep the bits they have alone.
 """
@@ -268,30 +269,29 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
                  config):
     """Step blocks of walks from the pole through one live set.
 
-    `domain` is one walk domain and `r_max` its escape radius, or they are
-    equal-length lists of k walk problems of one walk_kind (see
-    _contributions) and contrib is a C-contiguous (k, n) array.  `blocks`
-    is an iterator of (lo, nb, rng): walks lo .. lo + nb - 1 of
-    contrib.reshape(-1), all of one problem, whose directions rng draws.  A
-    block joins the live set, its walks at the pole, whenever a whole block
-    (config.block_size walks) fits under the cap: `first` walks for the
-    first fill, `cap` after.  Live rows stay in walk order; idx maps each
-    to its walk number.  Each step draws every block's live walks'
-    directions, in walk order, into its slice of one buffer, so every
-    block sees exactly the stream it would see on its own, and a block's
-    walks still live after config.max_steps steps of its own are
-    truncated.  With several problems, each live walk carries its
-    problem's walk_row, filled when its block joins and compacted with it,
-    so a step makes one distance_rows call for all of them; a walk past
-    the least escape reach of the problems is tested against its own
-    problem's r_max.  One problem keeps its domain's own distance and
-    project.
+    `domain` and `r_max` are equal-length lists of k walk problems and
+    their escape radii (see _contributions), and contrib is a C-contiguous
+    (k, n) array; a lone domain with a scalar r_max and a 1-d contrib is
+    the list of one.  `blocks` is an iterator of (lo, nb, rng): walks lo ..
+    lo + nb - 1 of contrib.reshape(-1), all of problem lo // n, whose
+    directions rng draws.  A block joins the live set, its walks at the
+    pole, whenever a whole block (config.block_size walks) fits under the
+    cap: `first` walks for the first fill, `cap` after.  Live rows stay in
+    walk order; idx maps each to its walk number.  Each step draws every
+    block's live walks' directions, in walk order, into its slice of one
+    buffer, so every block sees exactly the stream it would see on its
+    own, and a block's walks still live after config.max_steps steps of
+    its own are truncated.  One problem steps with its domain's own
+    distance and project.  Several problems share one walk_kind: each live
+    walk carries its problem's walk_row, filled when its block joins and
+    compacted with it, so a step makes one distance_rows call for all of
+    them.  A walk past the least escape reach of the problems is tested
+    against its own problem's r_max.
     Writes each ended walk's kernel to its entry of contrib; returns
-    (truncated, escaped), ints for one domain, arrays of k counts for a
-    list.
+    (truncated, escaped), arrays of k counts.
     """
-    several = isinstance(domain, list)
-    doms, r_maxes = (domain, r_max) if several else ([domain], [r_max])
+    doms = domain if isinstance(domain, list) else [domain]
+    r_max = np.atleast_1d(np.asarray(r_max, dtype=float))
     k, n, out = len(doms), contrib.shape[-1], contrib.reshape(-1)
     bs, eps, max_steps = config.block_size, config.eps_shell, config.max_steps
     room = min(cap, len(out))
@@ -299,9 +299,9 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     weight, travel = np.empty(room), np.empty(room)
     idx = np.empty(room, dtype=np.intp)
     # a walk with a shorter path has not reached its own problem's r_max
-    reach = min(_escape_reach(pole, r, max_steps) for r in r_maxes)
+    reach = min(_escape_reach(pole, r, max_steps) for r in r_max)
     if k == 1:
-        dom, r_max = doms[0], r_maxes[0]
+        dom = doms[0]
 
         def distance(m):
             return dom.distance(pos[:m])
@@ -310,7 +310,6 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             return dom.project(pos.take(hits, axis=0))
     else:
         table = np.array([d.walk_row for d in doms]).T
-        r_max = np.array(r_maxes)
         # column i of rows is live walk i's walk_row
         rows = np.empty((len(table), room))
 
@@ -322,7 +321,7 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
                                         rows.take(hits, axis=1))
     live = []  # (lo, rng, step it is truncated at) per block, in walk order
     m = t = 0
-    truncated, escaped = [0] * k, [0] * k
+    truncated, escaped = np.zeros((2, k), dtype=np.intp)
     limit = first  # walks a fill may bring the live set to
 
     def compact(keep):
@@ -360,16 +359,10 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
         far = np.flatnonzero(travel[:m] >= reach)
         if len(far):
             far = far.compress(~end.take(far))
-            gone = _norm(pos.take(far, axis=0) - pole)
-            if k == 1:
-                far = far.compress(gone >= r_max)
-                escaped[0] += len(far)
-            else:
-                j = idx.take(far) // n  # each row's problem
-                gone = gone >= r_max.take(j)
-                far = far.compress(gone)
-                escaped = [e + c for e, c in zip(escaped, np.bincount(
-                    j.compress(gone), minlength=k).tolist())]
+            j = idx.take(far) // n  # each row's problem
+            gone = _norm(pos.take(far, axis=0) - pole) >= r_max.take(j)
+            far = far.compress(gone)
+            escaped += np.bincount(j.compress(gone), minlength=k)
             end[far] = True
         if len(hits) or len(far):
             keep = np.flatnonzero(~end)
@@ -397,9 +390,7 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
                 truncated[lo // n] += b - a
             m = compact(np.arange(cut, m))
             live = live[due:]
-    if several:
-        return np.array(truncated), np.array(escaped)
-    return truncated[0], escaped[0]
+    return truncated, escaped
 
 
 def _stderr(x: np.ndarray) -> float:
@@ -415,28 +406,26 @@ def _stderr(x: np.ndarray) -> float:
 
 def _contributions(domain, pole, n_walks: int, seed,
                    c_weight: float = 0.0, config: WosConfig = WosConfig()):
-    """The walks of robin_constant: (contrib, truncated, escaped, r_max).
+    """The walks of k problems: (contrib, truncated, escaped, r_max).
 
-    contrib[i] is walk i's weighted kernel at its boundary hit, 0.0 if it
-    escaped or was truncated.  Walks are partitioned into fixed-size
-    blocks, block b drawing from its own substream default_rng([seed, b]),
-    so walk i draws the same directions on any domain for fixed (seed,
-    n_walks, config), and the order in which blocks run changes nothing.
-    Each thread streams blocks through its live set, taking them in index
-    order from one queue and stepping all its live walks together, which
-    changes no draw and no output bit as long as the domain's distance and
-    project give each row of an (n, 4) call the bits of a one-row call on
-    it, whatever n: every built-in domain does.
-
-    `domain` and `seed` may instead be equal-length lists of k problems,
-    n_walks walks each, that share the pole: then every output gains a
-    leading axis of k, and problem j's entries have the bits of a call on
-    (domain[j], seed[j]) alone.  Their blocks, problem by problem, form
-    one queue through the same live sets; each block keeps its problem's
-    generator default_rng([seed[j], b]), r_max and max_steps deadline.
-    Several problems must share one walk_kind (a HalfSpace, a
-    ProductHalfPlane or a ModulusRegion of one rho and one set of finite
-    ends), whose distance_rows and project_rows step them all at once.
+    `domain` and `seed` are equal-length lists of k >= 1 walk problems,
+    n_walks walks each, that share the pole.  contrib[j, i] is problem j's
+    walk i's weighted kernel at its boundary hit, 0.0 if it escaped or was
+    truncated; truncated, escaped and r_max hold k entries each.  Problem
+    j's walks are partitioned into fixed-size blocks, block b drawing from
+    its own substream default_rng([seed[j], b]), so walk i draws the same
+    directions on any domain for fixed (seed[j], n_walks, config), and
+    problem j's entries have the bits of a call on [domain[j]], [seed[j]]
+    alone.  Every problem's blocks, problem by problem, form one queue;
+    each thread streams blocks through its live set, taking them in queue
+    order and stepping all its live walks together, each block keeping its
+    problem's r_max and max_steps deadline.  That changes no draw and no
+    output bit as long as the domain's distance and project (or, for
+    several problems, distance_rows and project_rows) give each row of an
+    (n, 4) call the bits of a one-row call on it, whatever n: every
+    built-in domain does.  Several problems must share one walk_kind (a
+    HalfSpace, a ProductHalfPlane or a ModulusRegion of one rho and one set
+    of finite ends).
 
     When every domain declares thread_safe = True (Ball, HalfSpace and the
     translates, ProductHalfPlane and ModulusRegion, do), so that its
@@ -452,25 +441,24 @@ def _contributions(domain, pole, n_walks: int, seed,
     bit, for any number of threads.  An error on any thread stops the
     queue and is raised once every thread has stopped.
     """
-    several = isinstance(domain, list)
-    doms, seeds = (domain, seed) if several else ([domain], [seed])
-    if not (isinstance(seeds, list) and 0 < len(doms) == len(seeds)):
-        raise InvalidInputError("a list of domains needs a list of as many "
-                                "seeds, at least one")
+    if not (isinstance(domain, list) and isinstance(seed, list)
+            and 0 < len(domain) == len(seed)):
+        raise InvalidInputError("walk problems need a list of domains and a "
+                                "list of as many seeds, at least one")
     _require_samples(n_walks, "n_walks")
-    for s in seeds:
+    for s in seed:
         _require_seed(s)
     _require_nonneg(c_weight, "c_weight")
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,) or not np.isfinite(pole).all():
         raise InvalidInputError(f"pole must be a finite 4-vector, got {pole}")
-    kind = getattr(doms[0], "walk_kind", None)
-    if len(doms) > 1 and (kind is None or any(
-            getattr(d, "walk_kind", None) != kind for d in doms)):
+    kind = getattr(domain[0], "walk_kind", None)
+    if len(domain) > 1 and (kind is None or any(
+            getattr(d, "walk_kind", None) != kind for d in domain)):
         raise InvalidInputError("several walk problems must share one "
                                 "walk_kind")
     r_max = []
-    for d in doms:
+    for d in domain:
         d0 = float(d.distance(pole[None])[0])
         if not math.isfinite(d0):
             raise InvalidInputError(f"distance from the pole is {d0}")
@@ -478,10 +466,14 @@ def _contributions(domain, pole, n_walks: int, seed,
             raise EvaluationError("pole is outside the domain or within the "
                                   f"termination shell (distance {d0})")
         r_max.append(config.r_max_factor * d0)
+        if not math.isfinite(r_max[-1]):
+            raise InvalidInputError(
+                f"escape radius r_max_factor * d0 = {config.r_max_factor} * "
+                f"{d0} is not finite")
 
-    k, bs = len(doms), config.block_size
+    k, bs = len(domain), config.block_size
     n_blocks = -(-n_walks // bs)
-    safe = all(getattr(d, "thread_safe", False) for d in doms)
+    safe = all(getattr(d, "thread_safe", False) for d in domain)
     # a thread per block's worth of walks at most: the small blocks of
     # several short problems share one thread, as one such block would
     workers = min(_WORKERS if safe else 1, -(-k * n_walks // bs))
@@ -501,11 +493,11 @@ def _contributions(domain, pole, n_walks: int, seed,
                 return
             j, b = divmod(q, n_blocks)
             yield (j * n_walks + b * bs, min(bs, n_walks - b * bs),
-                   np.random.default_rng([seeds[j], b]))
+                   np.random.default_rng([seed[j], b]))
 
     def work():
         try:
-            tallies.append(_walk_blocks(doms, pole, blocks(), first, cap,
+            tallies.append(_walk_blocks(domain, pole, blocks(), first, cap,
                                         contrib, c_weight, r_max, config))
         except BaseException as exc:  # raised below, after every join
             with lock:
@@ -521,9 +513,7 @@ def _contributions(domain, pole, n_walks: int, seed,
         raise errors[0]
     truncated = sum(w[0] for w in tallies)
     escaped = sum(w[1] for w in tallies)
-    if several:
-        return contrib, truncated, escaped, np.array(r_max)
-    return contrib[0], int(truncated[0]), int(escaped[0]), r_max[0]
+    return contrib, truncated, escaped, np.array(r_max)
 
 
 def robin_constant(domain, pole, n_walks: int, seed: int,
@@ -532,14 +522,15 @@ def robin_constant(domain, pole, n_walks: int, seed: int,
     """Monte-Carlo Robin constant of `domain` at `pole`.
 
     Deterministic for fixed (seed, n_walks, config), bit for bit, whatever
-    the number of threads; _contributions runs the walks.
+    the number of threads; _contributions runs the walks, a list of one.
     """
     contrib, truncated, escaped, r_max = _contributions(
-        domain, pole, n_walks, seed, c_weight, config)
-    return RobinEstimate(lambda_hat=-float(np.mean(contrib)),
-                         stderr=_stderr(contrib), n_walks=n_walks,
-                         truncated_walks=truncated, escaped_walks=escaped,
-                         seed=seed, c_weight=c_weight, r_max=r_max)
+        [domain], pole, n_walks, [seed], c_weight, config)
+    return RobinEstimate(lambda_hat=-float(np.mean(contrib[0])),
+                         stderr=_stderr(contrib[0]), n_walks=n_walks,
+                         truncated_walks=int(truncated[0]),
+                         escaped_walks=int(escaped[0]), seed=seed,
+                         c_weight=c_weight, r_max=float(r_max[0]))
 
 
 # ---------------------------------------------------------------------------

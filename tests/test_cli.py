@@ -228,6 +228,36 @@ class TestRobinCommands:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    def test_robin_infinite_escape_radius_exit_2(self, capsys):
+        # r_max_factor * d0 = 1e308 * 2 overflows: this used to exit 0 and
+        # print "r_max": Infinity, which is not JSON
+        code = main(["robin", "--shape", "half-space", "--normal", "0", "0",
+                     "1", "0", "--pole", "1", "0", "2", "0", "--n-walks",
+                     "100", "--r-max-factor", "1e308"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: escape radius r_max_factor * d0 = "
+                                "1e+308 * 2.0 is not finite\n")
+
+    @pytest.mark.parametrize("scale", ["1e200", "1e-170"])
+    def test_robin_extreme_normal_walks(self, capsys, scale):
+        # the squared norm of (1e200, 1e200, 0, 0) overflowed, and every
+        # walk was truncated; (1e-170, 1e-170, 0, 0) was "zero"
+        args = ("--offset", "-1", "--pole", "1", "0", "1", "0", "--n-walks",
+                "2000")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_cli(capsys, "robin", "--shape", "half-space",
+                                "--normal", scale, scale, "0", "0", *args)
+        _, unit = run_cli(capsys, "robin", "--shape", "half-space",
+                          "--normal", "1", "1", "0", "0", *args)
+        assert code == 0
+        assert doc["truncated_walks"] == 0
+        # the pole is 1 + 1/sqrt(2) from the wall
+        assert doc["lambda_hat"] == pytest.approx(unit["lambda_hat"],
+                                                  rel=1e-9)
+
     def test_robin_huge_ball_exit_2(self, capsys):
         # its squared diameter overflows: this used to exit 0 with
         # lambda_hat = -1e8, and NaN, not JSON, under --c-weight 1e300

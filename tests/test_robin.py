@@ -663,13 +663,34 @@ class TestBatchedProblems:
             doms, E, 600, seeds, c, cfg)
         assert contrib.shape == (k, 600)
         for j, (dom, seed) in enumerate(zip(doms, seeds)):
-            one = robin._contributions(dom, E, 600, seed, c, cfg)
-            assert contrib[j].tobytes() == one[0].tobytes()
-            assert (truncated[j], escaped[j], r_max[j]) == one[1:]
+            one = robin._contributions([dom], E, 600, [seed], c, cfg)
+            assert contrib[j].tobytes() == one[0][0].tobytes()
+            assert (truncated[j], escaped[j], r_max[j]) == tuple(
+                x[0] for x in one[1:])
         if case == "truncated":
             assert truncated.min() > 0
         if case == "escaping":
             assert escaped.min() > 0
+
+    def test_lone_domain_walk_gives_one_entry_counts(self):
+        # a lone domain with a scalar r_max and a 1-d contrib is a list of
+        # one: its counts are arrays of one entry, robin_constant's counts
+        cfg = WosConfig(r_max_factor=3.0, max_steps=30)
+        n, seed = 4097, 5
+        r_max = cfg.r_max_factor * float(HS.distance(E[None])[0])
+        contrib = np.zeros(n)
+        blocks = iter([(lo, min(cfg.block_size, n - lo),
+                        np.random.default_rng([seed, b]))
+                       for b, lo in enumerate(range(0, n, cfg.block_size))])
+        truncated, escaped = _walk_blocks(HS, E, blocks, 2 * cfg.block_size,
+                                          2 * cfg.block_size, contrib, 0.0,
+                                          r_max, cfg)
+        est = robin_constant(HS, E, n, seed, config=cfg)
+        assert truncated.shape == escaped.shape == (1,)
+        assert (truncated[0], escaped[0]) == (est.truncated_walks,
+                                              est.escaped_walks)
+        assert est.truncated_walks > 0 and est.escaped_walks > 0
+        assert -float(np.mean(contrib)) == est.lambda_hat
 
     def test_one_seed_for_every_problem_pairs_the_walks(self):
         # equal problems with equal seeds give equal rows
@@ -684,7 +705,7 @@ class TestBatchedProblems:
                                  P24)], [1, 2]),
         ([BAND, modulus_translates(SubLevel(1.5))[0]], [1, 2]),
         ([OFF_BALL, OFF_BALL], [1, 2]),
-        ([HS, HS], [1]), ([HS, HS], 1), ([], [])])
+        ([HS, HS], [1]), ([HS, HS], 1), ([], []), (HS, 1)])
     def test_problems_must_share_a_walk_kind(self, doms, seeds):
         with pytest.raises(InvalidInputError):
             robin._contributions(doms, E, 100, seeds)
@@ -790,6 +811,27 @@ class TestWosInputValidation:
     def test_half_space_rejected(self, kw):
         with pytest.raises(InvalidInputError):
             HalfSpace(**{"normal": (0.0, 0.0, 1.0, 0.0), **kw})
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-170, 2.0 ** -1070])
+    def test_extreme_normal_is_normalized(self, scale):
+        # the squared norm of the first overflowed to a zero normal, the
+        # other two underflowed to "normal must be nonzero"
+        want = HalfSpace(normal=(1.0, 1.0, 0.0, 0.0), offset=-1.0)
+        with np.errstate(all="raise"):
+            hs = HalfSpace(normal=(scale, scale, 0.0, 0.0), offset=-1.0)
+        assert max(abs(a - b) / np.spacing(b)
+                   for a, b in zip(hs.normal, want.normal)) <= 1.0
+        est = robin_constant(hs, E, 2000, 3)
+        assert est.truncated_walks == 0 and math.isfinite(est.lambda_hat)
+        assert est.lambda_hat == pytest.approx(
+            half_space_oracle(1.0 + math.sqrt(0.5)), rel=0.1)
+
+    def test_infinite_escape_radius_rejected(self):
+        # r_max_factor * d0 = 1e308 * 2 overflows to inf
+        msg = "r_max_factor * d0 = 1e+308 * 2.0 is not finite"
+        with pytest.raises(InvalidInputError, match=re.escape(msg)):
+            robin_constant(HS, np.array([1.0, 0.0, 2.0, 0.0]), 100, 0,
+                           config=WosConfig(r_max_factor=1e308))
 
     def test_non_finite_pole_distance_rejected(self):
         dom = Solvable(lambda x: np.full(len(x), math.inf))
@@ -967,8 +1009,8 @@ class TestPshSpotCheck:
                              math.sin(2 * math.pi * j / grid_n))
             for j in range(grid_n))]
         return [robin._contributions(
-            solvable_from_translate(spec.translate(pt, P24, INV24)), E,
-            budget.n_walks, budget.seed)[0] for pt in pts]
+            [solvable_from_translate(spec.translate(pt, P24, INV24))], E,
+            budget.n_walks, [budget.seed])[0][0] for pt in pts]
 
     @pytest.mark.parametrize("radius, walked", [(0.1, 3), (0.0, 1)])
     def test_equal_translates_walk_once(self, monkeypatch, radius, walked):
