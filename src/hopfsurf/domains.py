@@ -28,12 +28,8 @@ Translation moves a domain to a reference frame centered at an anchor point
 Nemirovskii family becomes a ProductHalfPlane, a half-plane in the
 w-coordinate whose distance to the identity is exactly cos(theta), theta the
 anchor's angular offset inside the half-plane.  Each translate is its own
-thread_safe walk domain in R^4 (distance and project per row); a
-ProductHalfPlane walks on its HalfSpace wall, defined here.  The walls and
-the translates share one base, _RowWalk: each holds a parameter vector,
-walk_row, and a walk_kind, and its distance_rows and project_rows take
-one walk_row per point, so problems of one walk_kind can walk together;
-the base's distance and project are those on the domain's own row.
+thread_safe walk domain in R^4, with distance and project per row; a
+ProductHalfPlane walks on its HalfSpace wall, defined here.
 """
 
 from __future__ import annotations
@@ -408,28 +404,13 @@ def _curves_distance(ks: list[float], rho: float) -> float:
     return float(best)
 
 
-class _RowWalk:
-    """Base of the walk domains that walk on a parameter row, walk_row: a
-    subclass sets walk_row and walk_kind and defines distance_rows(x, rows)
-    and project_rows(x, rows), which take one walk_row for every point of
-    x or one column of rows per point; distance and project are those on
-    its own row, so one problem and several of a walk_kind share the code."""
-
-    thread_safe = True  # not a dataclass field; see robin._contributions
-
-    def distance(self, x: np.ndarray) -> np.ndarray:
-        return self.distance_rows(x, self.walk_row)
-
-    def project(self, x: np.ndarray) -> np.ndarray:
-        return self.project_rows(x, self.walk_row)
-
-
 @dataclass(frozen=True)
-class HalfSpace(_RowWalk):
+class HalfSpace:
     """{x : <x, normal> > offset}."""
 
     normal: tuple
     offset: float = 0.0
+    thread_safe = True  # not a dataclass field; see robin._contributions
 
     def __post_init__(self):
         n = np.asarray(self.normal, dtype=float)
@@ -445,23 +426,17 @@ class HalfSpace(_RowWalk):
         if nn == 0:
             raise InvalidInputError("normal must be nonzero")
         object.__setattr__(self, "normal", tuple(n / nn))
-        object.__setattr__(self, "walk_row", (*self.normal, self.offset))
-        object.__setattr__(self, "walk_kind", type(self))
 
-    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        """distance(x) on the walls whose walk_row (normal, offset) has
-        entries rows[i]: one walk_row for every point of x, or a (5, n)
-        array, one column per point."""
+    def distance(self, x: np.ndarray) -> np.ndarray:
         # a column sum in a written order, not a matmul or einsum: basic IEEE
         # operations only, so no row count and no CPU's SIMD reduction order
         # can change a row's bits
-        n0, n1, n2, n3, offset = rows
+        n0, n1, n2, n3 = self.normal
         return ((x[..., 0] * n0 + x[..., 2] * n2)
-                + (x[..., 1] * n1 + x[..., 3] * n3) - offset)
+                + (x[..., 1] * n1 + x[..., 3] * n3) - self.offset)
 
-    def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        return (x - self.distance_rows(x, rows)[..., None]
-                * np.asarray(rows[:4]).T)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        return x - self.distance(x)[..., None] * np.asarray(self.normal)
 
 
 def half_space_from_theta(theta: float) -> HalfSpace:
@@ -472,28 +447,29 @@ def half_space_from_theta(theta: float) -> HalfSpace:
                      offset=0.0)
 
 
-class TranslatedDomain(_RowWalk):
+class TranslatedDomain:
     """Base of the recentered kinds: residual(xi, eta), distance_bounds,
-    and the row walk of _RowWalk, whose distance_rows and project_rows the
-    experiments use to walk several translates at once."""
+    and the walk-domain methods distance(x) and project(x)."""
 
     theta: Optional[float] = None  # angular offset, half-plane kinds only
+    thread_safe = True  # not a dataclass field; see robin._contributions
 
 
 @dataclass(frozen=True)
 class ProductHalfPlane(TranslatedDomain):
     """C*_xi times a half-plane through 0 in eta; identity at angle theta.
     It walks on its wall, half_space_from_theta(theta), bit for bit: the
-    wall's walk_row and HalfSpace's row methods."""
+    wall's normal and offset, and HalfSpace's distance and project."""
 
     theta: float
-    distance_rows = HalfSpace.distance_rows
-    project_rows = HalfSpace.project_rows
+    distance = HalfSpace.distance
+    project = HalfSpace.project
 
     def __post_init__(self):
-        object.__setattr__(self, "walk_row",
-                           half_space_from_theta(self.theta).walk_row)
-        object.__setattr__(self, "walk_kind", type(self))
+        # not dataclass fields: equality and hashing compare theta alone
+        wall = half_space_from_theta(self.theta)
+        object.__setattr__(self, "normal", wall.normal)
+        object.__setattr__(self, "offset", wall.offset)
 
     def residual(self, xi: complex, eta: complex) -> float:
         # inside: Re(eta e^{i theta}) > 0
@@ -512,14 +488,6 @@ class ModulusRegion(TranslatedDomain):
     log_k2: float
     rho: float
 
-    def __post_init__(self):
-        # translates of one spec share rho and which ends are finite, and
-        # differ in the ends alone
-        ends = (self.log_k1, self.log_k2)
-        object.__setattr__(self, "walk_row", ends)
-        object.__setattr__(self, "walk_kind", (type(self), self.rho,
-                                               *map(math.isfinite, ends)))
-
     def residual(self, xi: complex, eta: complex) -> float:
         return _interval_residual(_log_ratio(xi, eta, self.rho), self.log_k1,
                                   self.log_k2)
@@ -533,11 +501,8 @@ class ModulusRegion(TranslatedDomain):
         best = _curves_distance(ks, self.rho)
         return (best - _DIST_TOL, best + _DIST_TOL)
 
-    def distance_rows(self, x: np.ndarray, rows) -> np.ndarray:
-        """Certified lower bound on the distance to the boundary in R^4 of
-        the translates of this one's walk_kind whose walk_row (log_k1,
-        log_k2) has entries rows[i]: one walk_row for every point of x, or
-        a (2, n) array, one column per point.
+    def distance(self, x: np.ndarray) -> np.ndarray:
+        """Certified lower bound on the distance to the boundary in R^4.
 
         With s1 = |xi|, s2 = |eta|, F = log s2 - rho log s1 and L =
         hypot(rho/s1, 1/s2), the bound is the least gap / (L + gap/s) over
@@ -548,22 +513,20 @@ class ModulusRegion(TranslatedDomain):
         rho r1/(s1 - r) <= r L / (1 - r/s1), which is < gap exactly when
         r < gap / (L + gap/s1); the lower end is the same with s2.
         """
-        _, rho, lo_finite, hi_finite = self.walk_kind
-        lo, hi = rows
+        lo, hi, rho = self.log_k1, self.log_k2, self.rho
         x = np.atleast_2d(x)
         s1, s2 = np.hypot(x[:, 0], x[:, 1]), np.hypot(x[:, 2], x[:, 3])
         out = np.full(len(x), np.inf)
         with np.errstate(divide="ignore", invalid="ignore"):
             F = np.log(s2) - rho * np.log(s1)
             L = np.hypot(rho / s1, 1.0 / s2)
-            for finite, gap, s in ((hi_finite, hi - F, s1),
-                                   (lo_finite, F - lo, s2)):
-                if finite:
+            for end, gap, s in ((hi, hi - F, s1), (lo, F - lo, s2)):
+                if math.isfinite(end):
                     gap = np.maximum(gap, 0.0)  # 0 outside, NaN kept
                     out = np.minimum(out, gap / (L + gap / s))
         return np.where(np.isnan(out), 0.0, out)
 
-    def project_rows(self, x: np.ndarray, rows) -> np.ndarray:
+    def project(self, x: np.ndarray) -> np.ndarray:
         return x  # a walk ends within eps_shell of the boundary
 
 

@@ -79,10 +79,13 @@ def orbit_reduce_samples(X: VectorField, start, t_grid: Sequence[complex],
 
 def star_discrepancy(angles: Sequence[float]) -> float:
     """Star discrepancy of angles/2pi mod 1, by the sorted-points formula."""
-    x = np.sort(np.asarray(angles, dtype=float) / TWO_PI % 1.0)
+    x = np.asarray(angles, dtype=float)
     n = x.size
     if n == 0:
         raise InvalidInputError("empty sample")
+    if not np.isfinite(x).all():
+        raise InvalidInputError("angles must be finite")
+    x = np.sort(x / TWO_PI % 1.0)
     i = np.arange(1, n + 1)
     return float(np.max(np.maximum(i / n - x, x - (i - 1) / n)))
 

@@ -26,8 +26,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional
 
-from .errors import (ConsistencyError, InvalidInputError, _require_finite,
-                     _require_nonneg)
+from .errors import (ConsistencyError, InvalidInputError, _is_int,
+                     _require_finite, _require_nonneg)
 
 TWO_PI = 2.0 * math.pi
 
@@ -156,6 +156,8 @@ def detect_rational(x: float, tol: float, max_den: int) -> RationalityResult:
     if not math.isfinite(x):
         raise InvalidInputError(f"x must be finite, got {x}")
     _require_nonneg(tol)
+    if not _is_int(max_den):
+        raise InvalidInputError(f"max_den must be an integer, got {max_den}")
     if max_den < 1:
         raise InvalidInputError("max_den must be >= 1")
 
@@ -202,6 +204,8 @@ def roots_of_unity(nu: int) -> list[complex]:
     Quarter-turn roots (+-1, +-i) are returned exactly rather than through
     cmath.exp, so small groups serialize without 1e-16 dust.
     """
+    if not _is_int(nu):
+        raise InvalidInputError(f"nu must be an integer, got {nu}")
     if nu < 1:
         raise InvalidInputError("nu must be >= 1")
     out = []

@@ -39,9 +39,9 @@ thread per CPU in the process's affinity mask, at most 2, with at most
 blocks are larger); the estimate has the same bits for any CPU count.
 The walks take one form, a list of walk problems: robin_constant walks a
 list of one, and the experiments walk all their translates in one list,
-whose blocks share those live sets, each live walk carrying its problem's
-parameter row (a wall's normal and offset, a modulus region's ends), and
-each problem's walks keep the bits they have alone.
+whose blocks share those live sets; each step calls every problem's own
+distance on its own live walks, so each problem's walks keep the bits
+they have alone.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def _escape_reach(pole, r_max, max_steps):
     needs no escape test.  Past that bound (a huge |pole| or max_steps)
     every row is tested.
     """
-    drift = max_steps * np.finfo(float).eps * (np.linalg.norm(pole) + r_max)
+    drift = max_steps * np.finfo(float).eps * (math.hypot(*pole) + r_max)
     return r_max / 2.0 if drift < r_max / 4.0 else 0.0
 
 
@@ -277,18 +277,14 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     directions rng draws.  A block joins the live set, its walks at the
     pole, whenever a whole block (config.block_size walks) fits under the
     cap: `first` walks for the first fill, `cap` after.  Live rows stay in
-    walk order; idx maps each to its walk number.  Each step draws every
-    block's live walks' directions, in walk order, into its slice of one
-    buffer, so every block sees exactly the stream it would see on its
-    own, and a block's walks still live after config.max_steps steps of
-    its own are truncated.  One problem steps with its domain's own
-    distance and project.  Several problems share one walk_kind: each live
-    walk carries its problem's walk_row, filled when its block joins and
-    compacted with it, so a step makes one distance_rows call for all of
-    them.  A walk past the least escape reach of the problems is tested
-    against its own problem's r_max.
-    Writes each ended walk's kernel to its entry of contrib; returns
-    (truncated, escaped), arrays of k counts.
+    walk order (idx holds their walk numbers), so each problem's live rows
+    form one run, which a step hands to that problem's own distance and
+    project.  Each block draws its live walks' directions into its slice
+    of one buffer, so it sees the stream it would see alone, and its walks
+    still live after config.max_steps steps of its own are truncated.  A
+    walk past the least escape reach is tested against its own problem's
+    r_max.  Writes each ended walk's kernel to its entry of contrib;
+    returns (truncated, escaped), arrays of k counts.
     """
     doms = domain if isinstance(domain, list) else [domain]
     r_max = np.atleast_1d(np.asarray(r_max, dtype=float))
@@ -300,25 +296,22 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     idx = np.empty(room, dtype=np.intp)
     # a walk with a shorter path has not reached its own problem's r_max
     reach = min(_escape_reach(pole, r, max_steps) for r in r_max)
-    if k == 1:
-        dom = doms[0]
+    # escape tests compare |pos - pole| / 2^e with r_max / 2^e, exactly
+    e = math.frexp(float(r_max.max()))[1]
+    r_scaled = np.ldexp(r_max, -e)
+    starts = np.arange(1, k) * n  # problem j owns walks j n .. (j + 1) n - 1
 
-        def distance(m):
-            return dom.distance(pos[:m])
+    def each(method, walks, x):
+        """Each problem's `method` on its run of the rows x, whose walk
+        numbers `walks` ascend; the results joined in row order."""
+        j, last = walks[0] // n, walks[-1] // n
+        if j == last:
+            return getattr(doms[j], method)(x)
+        cuts = [0, *np.searchsorted(walks, starts[j:last]).tolist(), len(x)]
+        return np.concatenate([getattr(doms[j + i], method)(x[a:b])
+                               for i, (a, b) in enumerate(zip(cuts, cuts[1:]))
+                               if a < b])
 
-        def project(hits):
-            return dom.project(pos.take(hits, axis=0))
-    else:
-        table = np.array([d.walk_row for d in doms]).T
-        # column i of rows is live walk i's walk_row
-        rows = np.empty((len(table), room))
-
-        def distance(m):
-            return doms[0].distance_rows(pos[:m], rows[:, :m])
-
-        def project(hits):
-            return doms[0].project_rows(pos.take(hits, axis=0),
-                                        rows.take(hits, axis=1))
     live = []  # (lo, rng, step it is truncated at) per block, in walk order
     m = t = 0
     truncated, escaped = np.zeros((2, k), dtype=np.intp)
@@ -327,8 +320,6 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     def compact(keep):
         for a in (pos, weight, travel, idx):
             a[:len(keep)] = a.take(keep, axis=0)
-        if k > 1:
-            rows[:, :len(keep)] = rows.take(keep, axis=1)
         return len(keep)
 
     while True:
@@ -342,25 +333,26 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             weight[m:m + nb] = 1.0
             travel[m:m + nb] = 0.0
             idx[m:m + nb] = np.arange(lo, lo + nb)
-            if k > 1:
-                rows[:, m:m + nb] = table[:, lo // n, None]
             live.append((lo, rng, t + max_steps))
             m += nb
         limit = cap
         if not m:
             break
-        d = distance(m)
+        d = each("distance", idx[:m], pos[:m])
         end = d <= eps
         hits = np.flatnonzero(end)
         if len(hits):
-            r = _norm(project(hits) - pole)
+            r = each("project", idx.take(hits), pos.take(hits, axis=0)) - pole
+            with np.errstate(over="ignore"):  # an r that overflows has r^-2 0
+                r = _norm(r)
             r = np.maximum(r, eps)  # pole sits strictly inside; guard only
             out[idx.take(hits)] = weight.take(hits) * kernel(r)
         far = np.flatnonzero(travel[:m] >= reach)
         if len(far):
             far = far.compress(~end.take(far))
             j = idx.take(far) // n  # each row's problem
-            gone = _norm(pos.take(far, axis=0) - pole) >= r_max.take(j)
+            gone = (_norm(np.ldexp(pos.take(far, axis=0) - pole, -e))
+                    >= r_scaled.take(j))
             far = far.compress(gone)
             escaped += np.bincount(j.compress(gone), minlength=k)
             end[far] = True
@@ -419,24 +411,22 @@ def _contributions(domain, pole, n_walks: int, seed,
     alone.  Every problem's blocks, problem by problem, form one queue;
     each thread streams blocks through its live set, taking them in queue
     order and stepping all its live walks together, each block keeping its
-    problem's r_max and max_steps deadline.  That changes no draw and no
-    output bit as long as the domain's distance and project (or, for
-    several problems, distance_rows and project_rows) give each row of an
+    problem's r_max and max_steps deadline, each problem's live walks on
+    its own distance and project.  That changes no draw and no output bit
+    as long as each domain's distance and project give each row of an
     (n, 4) call the bits of a one-row call on it, whatever n: every
-    built-in domain does.  Several problems must share one walk_kind (a
-    HalfSpace, a ProductHalfPlane or a ModulusRegion of one rho and one set
-    of finite ends).
+    built-in domain does.  Any walk domains may share a call.
 
     When every domain declares thread_safe = True (Ball, HalfSpace and the
     translates, ProductHalfPlane and ModulusRegion, do), so that its
     distance and project may run on several threads at once, the blocks
     run on _WORKERS threads, the calling one among them, one per CPU in
     the process's affinity mask and at most 2; numpy releases the GIL
-    inside its array loops, so the threads overlap.  Any other domain
-    object runs on the calling thread alone.  A thread's live set holds at
-    most _WAVE_WALKS // workers walks or one block, whichever is more, so
-    at most max(_WAVE_WALKS, workers * block_size) walks are in flight;
-    its first fill takes at most its even share of the blocks.  Each
+    inside its array loops, so the threads overlap.  A call that holds any
+    other domain object runs on the calling thread alone.  A thread's live
+    set holds at most _WAVE_WALKS // workers walks or one block, whichever
+    is more, so at most max(_WAVE_WALKS, workers * block_size) walks are in
+    flight; its first fill takes at most its even share of the blocks.  Each
     walk's kernel lands at its index, so the result is the same, bit for
     bit, for any number of threads.  An error on any thread stops the
     queue and is raised once every thread has stopped.
@@ -452,11 +442,6 @@ def _contributions(domain, pole, n_walks: int, seed,
     pole = np.asarray(pole, dtype=float)
     if pole.shape != (4,) or not np.isfinite(pole).all():
         raise InvalidInputError(f"pole must be a finite 4-vector, got {pole}")
-    kind = getattr(domain[0], "walk_kind", None)
-    if len(domain) > 1 and (kind is None or any(
-            getattr(d, "walk_kind", None) != kind for d in domain)):
-        raise InvalidInputError("several walk problems must share one "
-                                "walk_kind")
     r_max = []
     for d in domain:
         d0 = float(d.distance(pole[None])[0])

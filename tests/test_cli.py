@@ -258,6 +258,19 @@ class TestRobinCommands:
         assert doc["lambda_hat"] == pytest.approx(unit["lambda_hat"],
                                                   rel=1e-9)
 
+    def test_robin_far_wall_escapes_only_past_r_max(self, capsys):
+        # |pos - pole|^2 overflowed in the escape test: this used to exit 0
+        # with every walk escaped, after numpy overflow warnings
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, doc = run_cli(capsys, "robin", "--shape", "half-space",
+                                "--normal", "0", "0", "1", "0", "--offset",
+                                "1e200", "--pole", "0", "0", "1.5e200", "0",
+                                "--n-walks", "200")
+        assert code == 0
+        assert doc["escaped_walks"] < 200
+        assert capsys.readouterr().err == ""
+
     def test_robin_huge_ball_exit_2(self, capsys):
         # its squared diameter overflows: this used to exit 0 with
         # lambda_hat = -1e8, and NaN, not JSON, under --c-weight 1e300

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -94,6 +95,15 @@ class TestStarDiscrepancy:
     def test_empty_sample_rejected(self):
         with pytest.raises(InvalidInputError, match="^empty sample$"):
             star_discrepancy([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_angle_rejected(self, bad):
+        # this used to return nan with a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidInputError,
+                               match="^angles must be finite$"):
+                star_discrepancy([0.1, bad, 2.0])
 
 
 class TestFiberSet:

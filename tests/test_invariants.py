@@ -104,6 +104,12 @@ class TestDetectRational:
                            match="^max_den must be >= 1$"):
             detect_rational(0.5, 1e-12, 0)
 
+    def test_rejects_non_integer_max_den(self):
+        # a max_den of 2.5 used to be accepted
+        with pytest.raises(InvalidInputError,
+                           match="^max_den must be an integer, got 2.5$"):
+            detect_rational(0.5, 1e-12, 2.5)
+
     def test_numeric_mode_rejects_nan_tol(self):
         # a NaN tol used to reach the report and print as invalid JSON
         with pytest.raises(InvalidInputError, match="tol must be finite"):
@@ -178,6 +184,12 @@ class TestRootsOfUnity:
     def test_rejects_orders_below_one(self, nu):
         with pytest.raises(InvalidInputError, match="^nu must be >= 1$"):
             roots_of_unity(nu)
+
+    def test_rejects_non_integer_order(self):
+        # this used to raise TypeError from range()
+        with pytest.raises(InvalidInputError,
+                           match="^nu must be an integer, got 2.5$"):
+            roots_of_unity(2.5)
 
     def test_quarter_turns_exact(self):
         assert roots_of_unity(4) == [1 + 0j, 1j, -1 + 0j, -1j]

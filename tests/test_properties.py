@@ -331,23 +331,6 @@ def test_product_half_plane_walks_on_its_wall(theta, n, seed):
             [f(x[i:i + 1]) for i in range(n)]).tobytes()
 
 
-@PROPERTY
-@given(walls=st.lists(half_spaces(), min_size=1, max_size=8),
-       n=st.integers(1, 40), seed=st.integers(0, 2**32))
-def test_wall_rows_give_each_wall_its_own_bits(walls, n, seed):
-    # several walls walk in one live set, each point with its wall's
-    # walk_row as a column; every point gets its own wall's bits
-    rng = np.random.default_rng(seed)
-    x = rng.uniform(-1e3, 1e3, (n, 4))
-    mine = rng.integers(0, len(walls), n)
-    rows = np.array([walls[j].walk_row for j in mine]).T
-    for f, own in ((walls[0].distance_rows, "distance"),
-                   (walls[0].project_rows, "project")):
-        want = np.concatenate([getattr(walls[j], own)(x[i:i + 1])
-                               for i, j in enumerate(mine)])
-        assert f(x, rows).tobytes() == want.tobytes()
-
-
 def _curve_distance(p1, p2, k, rho):
     """Distance from (p1, p2) to the increasing curve s2 = k s1^rho.
 
@@ -386,12 +369,12 @@ def _brute_distance(td, s1, s2):
 
 
 @st.composite
-def modulus_translates(draw):
+def modulus_translates(draw, kinds=("band", "sub", "super")):
     """A LevelBand, SubLevel or SuperLevel translate at a random anchor."""
     params = draw(multipliers(1.1, 8.0))
     lk1 = draw(st.floats(-2.0, 1.0))
     lk2 = lk1 + draw(st.floats(0.1, 3.0))
-    kind = draw(st.sampled_from(["band", "sub", "super"]))
+    kind = draw(st.sampled_from(kinds))
     spec, lo, hi = {"band": (LevelBand(math.exp(lk1), math.exp(lk2)), lk1, lk2),
                     "sub": (SubLevel(math.exp(lk2)), lk2 - 4.0, lk2),
                     "super": (SuperLevel(math.exp(lk1)), lk1, lk1 + 4.0)}[kind]
@@ -408,24 +391,18 @@ def modulus_translates(draw):
 _log_moduli = st.floats(-12.0, 3.0)
 
 
+@pytest.mark.parametrize("kind", ["band", "sub", "super"])
 @PROPERTY
-@given(td=modulus_translates(),
-       shifts=st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=6),
-       n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
-def test_modulus_rows_give_each_region_its_own_bits(td, shifts, n, seed):
-    # regions of one walk_kind differ in their ends alone; each point, with
-    # its region's walk_row as a column, gets that region's own bits
-    regions = [ModulusRegion(td.log_k1 + s, td.log_k2 + s, td.rho)
-               for s in shifts]
-    assert {r.walk_kind for r in regions} == {td.walk_kind}
+@given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_modulus_distance_on_n_rows_is_n_one_row_calls(kind, n, seed, data):
+    # walk-on-spheres steps a region's live walks in one call; each row
+    # must get the bits that a call of its own would give it
+    td = data.draw(modulus_translates([kind]))
     rng = np.random.default_rng(seed)
     x = np.exp(rng.uniform(-3.0, 1.0, (n, 4))) * rng.choice([-1.0, 1.0],
                                                            (n, 4))
-    mine = rng.integers(0, len(regions), n)
-    rows = np.array([regions[j].walk_row for j in mine]).T
-    want = np.concatenate([regions[j].distance(x[i:i + 1])
-                           for i, j in enumerate(mine)])
-    assert td.distance_rows(x, rows).tobytes() == want.tobytes()
+    want = np.concatenate([td.distance(x[i:i + 1]) for i in range(n)])
+    assert td.distance(x).tobytes() == want.tobytes()
 
 
 @PROPERTY

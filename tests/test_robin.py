@@ -592,8 +592,8 @@ class TestThreadedWaves:
         assert at_pole[0] == 64 and sum(at_pole) == 64
 
 
-# five interior anchors per kind; the translates of one spec share a
-# walk_kind (one rho and one set of finite ends) and differ in their ends
+# five interior anchors per kind; the translates of one spec share rho and
+# which ends are finite, and differ in their ends
 MODULUS_ANCHORS = {
     LevelBand(0.5, 2.0): [(1.5, 1.5), (1.2, 1.2), (1.3, 1.6), (1.1, 0.9),
                           (1.4, 2.0)],
@@ -699,14 +699,76 @@ class TestBatchedProblems:
         assert (contrib[0] == contrib[1]).all()
         assert (contrib[0] == contrib[2]).all()
 
+    @staticmethod
+    def mixed():
+        """A ball, a wall, a product half-plane and level-band and
+        sub-level translates: five kinds of walk domain."""
+        return [OFF_BALL, half_spaces()[1], product_half_planes()[2],
+                *modulus_translates(LevelBand(0.5, 2.0))[:2],
+                modulus_translates(SubLevel(1.5))[0]]
+
+    def assert_own_bits(self, doms, seeds):
+        """Each problem of one call has the outputs of its own call."""
+        contrib, truncated, escaped, r_max = robin._contributions(
+            doms, E, 600, seeds, config=self.CFG)
+        for j, (dom, seed) in enumerate(zip(doms, seeds)):
+            one = robin._contributions([dom], E, 600, [seed],
+                                       config=self.CFG)
+            assert contrib[j].tobytes() == one[0][0].tobytes()
+            assert (truncated[j], escaped[j], r_max[j]) == tuple(
+                x[0] for x in one[1:])
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_mixed_kinds_give_each_problem_its_own_bits(self, monkeypatch,
+                                                        workers):
+        monkeypatch.setattr(robin, "_WORKERS", workers)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", workers * 512)
+        doms = self.mixed()
+        self.assert_own_bits(doms, [3 + j for j in range(len(doms))])
+
+    @pytest.mark.parametrize("doms", [
+        [HS, BAND],
+        [BAND, translate_domain(LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j),
+                                P24)],
+        [BAND, modulus_translates(SubLevel(1.5))[0]],
+        [OFF_BALL, OFF_BALL]])
+    def test_problems_of_any_kinds_walk_together(self, doms):
+        # a wall and a region, two rho, two sets of finite ends, two balls
+        self.assert_own_bits(doms, [1, 2])
+
+    @pytest.mark.parametrize("safe", [True, False])
+    def test_one_plain_domain_keeps_a_call_on_the_calling_thread(
+            self, monkeypatch, safe):
+        # every problem records the threads that step it; a wrapper that
+        # does not declare thread_safe keeps the whole call on this thread
+        monkeypatch.setattr(robin, "_WORKERS", 2)
+        monkeypatch.setattr(robin, "_WAVE_WALKS", 1024)
+        threads = set()
+
+        class Spy:
+            def __init__(self, inner, thread_safe=True):
+                self.inner, self.thread_safe = inner, thread_safe
+
+            def distance(self, x):
+                threads.add(threading.get_ident())
+                return self.inner.distance(x)
+
+            def project(self, x):
+                return self.inner.project(x)
+
+        doms = self.mixed()
+        spies = [Spy(d) for d in doms]
+        spies[3] = Spy(doms[3], thread_safe=safe)
+        seeds = [3 + j for j in range(len(doms))]
+        contrib = robin._contributions(spies, E, 600, seeds,
+                                       config=self.CFG)[0]
+        assert (threads == {threading.get_ident()}) is not safe
+        assert contrib.tobytes() == robin._contributions(
+            doms, E, 600, seeds, config=self.CFG)[0].tobytes()
+
     @pytest.mark.parametrize("doms, seeds", [
-        ([HS, BAND], [1, 2]),
-        ([BAND, translate_domain(LevelBand(0.5, 2.0), (1.5 + 0j, 1.5 + 0j),
-                                 P24)], [1, 2]),
-        ([BAND, modulus_translates(SubLevel(1.5))[0]], [1, 2]),
-        ([OFF_BALL, OFF_BALL], [1, 2]),
         ([HS, HS], [1]), ([HS, HS], 1), ([], []), (HS, 1)])
-    def test_problems_must_share_a_walk_kind(self, doms, seeds):
+    def test_bad_problem_lists_rejected(self, doms, seeds):
         with pytest.raises(InvalidInputError):
             robin._contributions(doms, E, 100, seeds)
 
@@ -726,15 +788,15 @@ class TestBatchedProblems:
         stepped = threading.Event()
 
         class FailingWall(HalfSpace):
-            def distance_rows(self, x, rows):
+            def distance(self, x):
                 if threading.get_ident() != caller:
                     stepped.set()
                     time.sleep(delay)
                     raise EvaluationError(
-                        f"problem at offset {rows[4, 0]} failed")
+                        f"problem at offset {self.offset} failed")
                 if len(x) > 1:  # not a pole's distance
                     assert stepped.wait(10)
-                return super().distance_rows(x, rows)
+                return super().distance(x)
 
         walls = [FailingWall(HS.normal, off) for off in (0.0, -0.5)]
         before = threading.active_count()
@@ -794,6 +856,26 @@ class TestWosInputValidation:
                                  500, 2, config=WosConfig(r_max_factor=1.05))
         assert est.lambda_hat == pytest.approx(ball_oracle(R), rel=1e-12)
         assert off.escaped_walks > 0 and off.lambda_hat < 0.0
+
+    @pytest.mark.parametrize("s", [664, 1000])
+    def test_escape_test_is_exact_at_any_scale(self, s):
+        # a wall, pole and shell scaled by 2^s walk the paths of scale 1,
+        # scaled exactly, although |pos - pole|^2 and r_max^2 overflow: the
+        # escape test scales both by one power of two.  One block, so every
+        # step runs on this thread, under this errstate
+        def est(scale):
+            wall = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=scale)
+            return robin_constant(wall, np.array([0.0, 0.0, 1.5 * scale, 0.0]),
+                                  2000, 12345,
+                                  config=WosConfig(eps_shell=1e-4 * scale))
+        one = est(1.0)
+        with np.errstate(all="raise"):
+            big = est(math.ldexp(1.0, s))
+        assert (big.escaped_walks, big.truncated_walks) == (
+            one.escaped_walks, one.truncated_walks)
+        assert 0 < one.escaped_walks < 2000
+        # each hit's r overflows too, and its r^-2 is 0.0 in any case
+        assert big.lambda_hat == 0.0
 
     @pytest.mark.parametrize("kw", [
         {"n_walks": 0}, {"n_walks": 2.5}, {"n_walks": True}, {"seed": -1},
