@@ -129,8 +129,7 @@ def _parse_terms(text: str) -> poly.RealPoly2:
     """JSON list of [i, j, coef] monomials in (x, y) = (Re z, Im z)."""
     try:
         terms = json.loads(text)
-        return poly.RealPoly2({(int(i), int(j)): float(c)
-                               for i, j, c in terms})
+        return poly.RealPoly2({(i, j): float(c) for i, j, c in terms})
     except (json.JSONDecodeError, TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad polynomial terms {text!r}: {exc}")
 

@@ -362,14 +362,16 @@ def evaluate_domain(spec, pt, params: HopfParams,
 
 # the bracket tolerance of ModulusRegion.distance_bounds
 _DIST_TOL = 1e-10
+# the largest log k whose e^log k is finite
+_LOG_MAX = math.log(np.finfo(float).max)
 # ModulusRegion: cells of the global foot-point search, samples per zoom
 _DIST_GRID = np.linspace(0.0, 1.0, 129)
 _DIST_ZOOM = np.linspace(0.0, 1.0, 65)
 
 
-def _curves_distance(ks: list[float], rho: float) -> float:
-    """Distance from (1, 1) to the nearest curve s2 = k s1^rho, k in ks,
-    s1 >= 0, or to a coordinate axis (1 away), within _DIST_TOL.
+def _curves_distance(log_ks: list[float], rho: float) -> float:
+    """Distance from (1, 1) to the nearest curve s2 = k s1^rho, log k in
+    log_ks, s1 >= 0, or to a coordinate axis (1 away), within _DIST_TOL.
 
     A curve's points level with (1, 1), (k^(-1/rho), 1) and (1, k), are no
     nearer than its foot point, so that has |s1 - 1| <= m, the least of
@@ -380,23 +382,36 @@ def _curves_distance(ks: list[float], rho: float) -> float:
     least sample.  The squared distance has at most three critical points
     in s1 > 0 (its derivative is a sum of four powers of s1; Descartes'
     rule of signs), so at most two local minima compete, as they do for a
-    lower end whose curve meets s2 = 1 near s1 = 2.
+    lower end whose curve meets s2 = 1 near s1 = 2.  A k that is a normal
+    float enters as k; any other (past the float range, or subnormal) as
+    e^(log k + ...), whose exponent neither overflows nor loses bits.
     """
-    k = np.array(ks)[:, None]
-    m = np.minimum(np.minimum(abs(k ** (-1.0 / rho) - 1.0), abs(k - 1.0)),
-                   1.0)
-    s = (1.0 - m) + 2.0 * m * _DIST_GRID
+    lk = np.array(log_ks)[:, None]
+    k = np.array([math.exp(x) if x <= _LOG_MAX else math.inf
+                  for x in log_ks])[:, None]
+    normal = (k >= np.finfo(float).tiny) & (k < math.inf)
+
+    def power(t, p, scale=1.0, rows=slice(None)):
+        """scale k t^p, each row of t on its curve's k (of the rows `rows`)."""
+        return np.where(normal[rows], k[rows] * scale * t**p,
+                        scale * np.exp(lk[rows] + p * np.log(t)))
+
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        v = np.hypot(s - 1.0, k * s**rho - 1.0)
-        slope = np.hypot(1.0, k * rho * s ** (rho - 1.0))
-        slack = np.maximum(slope[:, :-1], slope[:, 1:]) * np.diff(s)
+        level = np.where(normal, k ** (-1.0 / rho), np.exp(-lk / rho))
+        m = np.minimum(np.minimum(abs(level - 1.0), abs(k - 1.0)), 1.0)
+        s = (1.0 - m) + 2.0 * m * _DIST_GRID
+        v = np.hypot(s - 1.0, power(s, rho) - 1.0)
+        slope = np.hypot(1.0, power(s, rho - 1.0, rho))
+        # fmax: a slope at s1 = 0 with rho = 1 in logs is NaN, and the
+        # cell's other end, no smaller, bounds it
+        slack = np.fmax(slope[:, :-1], slope[:, 1:]) * np.diff(s)
         best = min(m.min(), v.min())
         end, cell = np.nonzero(v[:, :-1] + v[:, 1:] - slack < 2.0 * best)
-        lo, hi, k = s[end, cell], s[end, cell + 1], k[end]
+        lo, hi = s[end, cell], s[end, cell + 1]
         rows, last = np.arange(cell.size), _DIST_ZOOM.size - 1
         while cell.size and (hi - lo).max() > _DIST_TOL:
             t = lo[:, None] + (hi - lo)[:, None] * _DIST_ZOOM
-            v = np.hypot(t - 1.0, k * t**rho - 1.0)
+            v = np.hypot(t - 1.0, power(t, rho, rows=end) - 1.0)
             j = v.argmin(axis=1)
             best = min(best, v[rows, j].min())
             lo = t[rows, np.maximum(j - 1, 0)]
@@ -493,12 +508,11 @@ class ModulusRegion(TranslatedDomain):
                                   self.log_k2)
 
     def distance_bounds(self):
-        ks = [math.exp(lk) for lk in (self.log_k1, self.log_k2)
-              if math.isfinite(lk)]
-        if not ks:
+        ends = [lk for lk in (self.log_k1, self.log_k2) if math.isfinite(lk)]
+        if not ends:
             raise EvaluationError("region has no finite boundary")
         # the coordinate axis beyond each finite end lies outside, 1 away
-        best = _curves_distance(ks, self.rho)
+        best = _curves_distance(ends, self.rho)
         return (best - _DIST_TOL, best + _DIST_TOL)
 
     def distance(self, x: np.ndarray) -> np.ndarray:

@@ -65,11 +65,20 @@ class Jet2:
                     lam * self.d_zwbar)
 
 
+def _square(x: float) -> float:
+    """x ** 2 as libm's pow rounds it, which need not be x * x; inf, not
+    OverflowError, past the float range."""
+    try:
+        return x ** 2
+    except OverflowError:
+        return math.inf
+
+
 def levi_form(jet: Jet2) -> float:
     """The Levi determinant of the jet (cubic under jet scaling)."""
-    t1 = jet.d_zzbar * abs(jet.d_w) ** 2
+    t1 = jet.d_zzbar * _square(abs(jet.d_w))
     t2 = -2.0 * (jet.d_zwbar * jet.d_z.conjugate() * jet.d_w).real
-    t3 = jet.d_wwbar * abs(jet.d_z) ** 2
+    t3 = jet.d_wwbar * _square(abs(jet.d_z))
     return t1 + t2 + t3
 
 
@@ -91,12 +100,19 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
 
     Known limitation: near a coordinate axis the relative step is tiny and
     rounding spoils polynomial residuals: the unit sphere's Levi value 1
-    comes out as 1 + 6.4e-5 at a point with |w| ~ 6e-3.
+    comes out as 1 + 6.4e-5 at a point with |w| ~ 6e-3.  The chain rule
+    divides by |z0|^2, |w0|^2 and z0 conj(w0); EvaluationError when one
+    underflows to 0.
     """
     z0, w0 = complex(point[0]), complex(point[1])
     s1 = z0 if z0 != 0 else 1.0 + 0j
     s2 = w0 if w0 != 0 else 1.0 + 0j
     c1, c2 = z0 / s1, w0 / s2  # base point of the pulled-back function
+    # the chain rule's divisors
+    n1, n2, n12 = _square(abs(s1)), _square(abs(s2)), s1 * s2.conjugate()
+    if not (n1 and n2 and n12):
+        raise EvaluationError(f"the jet at {point} is out of the float "
+                              "range: |z|^2, |w|^2 or z conj(w) underflows")
 
     def f(*steps):
         d = [0.0] * 4  # offsets in (x1, y1, x2, y2), one per (axis, step)
@@ -130,9 +146,9 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
             value=f0,
             d_z=d_zeta / s1,
             d_w=d_omega / s2,
-            d_zzbar=d_zzb / abs(s1) ** 2,
-            d_wwbar=d_wwb / abs(s2) ** 2,
-            d_zwbar=d_zwb / (s1 * s2.conjugate()),
+            d_zzbar=d_zzb / n1,
+            d_wwbar=d_wwb / n2,
+            d_zwbar=d_zwb / n12,
         )
 
     if not richardson:
@@ -157,7 +173,7 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
     """Numeric Levi values of the boundary residual at sampled boundary points.
 
     InvalidInputError for n_samples < 1 or a tol that is negative or not
-    finite.
+    finite; EvaluationError when a Levi value is not a finite float.
     """
     _require_samples(n_samples)
     _require_nonneg(tol)
@@ -171,6 +187,9 @@ def pseudoconvexity_scan(spec, n_samples: int, tol: float,
     for pt in pts:
         psi = spec.smooth_residual(pt, params, inv)
         lv = levi_form(numeric_jet(psi, pt))
+        if not math.isfinite(lv):
+            raise EvaluationError(f"the Levi value at the boundary point "
+                                  f"{pt} is {lv}: out of the float range")
         vals.append(lv)
         if lv < -tol:
             bad.append((pt, lv))

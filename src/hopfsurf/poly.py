@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidInputError
+from .errors import InvalidInputError, _is_int
 
 MAX_DEGREE = 16
 
@@ -27,6 +27,9 @@ class RealPoly2:
     def __post_init__(self):
         clean = {}
         for (i, j), c in self.coeffs.items():
+            if not (_is_int(i) and _is_int(j)):
+                raise InvalidInputError(
+                    f"exponents must be integers, got ({i!r}, {j!r})")
             if i < 0 or j < 0:
                 raise InvalidInputError("negative exponent")
             if i + j > MAX_DEGREE:

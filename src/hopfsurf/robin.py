@@ -38,10 +38,10 @@ thread per CPU in the process's affinity mask, at most 2, with at most
 32,768 walks in flight across all threads (or one block per thread, if
 blocks are larger); the estimate has the same bits for any CPU count.
 The walks take one form, a list of walk problems: robin_constant walks a
-list of one, and the experiments walk all their translates in one list,
-whose blocks share those live sets; each step calls every problem's own
-distance on its own live walks, so each problem's walks keep the bits
-they have alone.
+list of one, and both experiments walk each distinct (translate, seed)
+pair of their points once in one list (_walk_points), whose blocks share
+those live sets; each step calls every problem's own distance on its own
+live walks, so each problem's walks keep the bits they have alone.
 """
 
 from __future__ import annotations
@@ -271,8 +271,7 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
 
     `domain` and `r_max` are equal-length lists of k walk problems and
     their escape radii (see _contributions), and contrib is a C-contiguous
-    (k, n) array; a lone domain with a scalar r_max and a 1-d contrib is
-    the list of one.  `blocks` is an iterator of (lo, nb, rng): walks lo ..
+    (k, n) array.  `blocks` is an iterator of (lo, nb, rng): walks lo ..
     lo + nb - 1 of contrib.reshape(-1), all of problem lo // n, whose
     directions rng draws.  A block joins the live set, its walks at the
     pole, whenever a whole block (config.block_size walks) fits under the
@@ -286,9 +285,8 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     r_max.  Writes each ended walk's kernel to its entry of contrib;
     returns (truncated, escaped), arrays of k counts.
     """
-    doms = domain if isinstance(domain, list) else [domain]
-    r_max = np.atleast_1d(np.asarray(r_max, dtype=float))
-    k, n, out = len(doms), contrib.shape[-1], contrib.reshape(-1)
+    r_max = np.asarray(r_max, dtype=float)
+    k, n, out = len(domain), contrib.shape[1], contrib.reshape(-1)
     bs, eps, max_steps = config.block_size, config.eps_shell, config.max_steps
     room = min(cap, len(out))
     pos, dirs = np.empty((room, 4)), np.empty((room, 4))
@@ -306,9 +304,9 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
         numbers `walks` ascend; the results joined in row order."""
         j, last = walks[0] // n, walks[-1] // n
         if j == last:
-            return getattr(doms[j], method)(x)
+            return getattr(domain[j], method)(x)
         cuts = [0, *np.searchsorted(walks, starts[j:last]).tolist(), len(x)]
-        return np.concatenate([getattr(doms[j + i], method)(x[a:b])
+        return np.concatenate([getattr(domain[j + i], method)(x[a:b])
                                for i, (a, b) in enumerate(zip(cuts, cuts[1:]))
                                if a < b])
 
@@ -582,6 +580,26 @@ class BoundaryRow:
     truncated_walks: int
 
 
+def _walk_points(spec, points, seeds, params, inv, n_walks):
+    """(translate, kernels, truncated) of each point, walked on its seed.
+
+    translate_domain checks and translates every point before any walk
+    runs; then one _contributions call walks each distinct (translate,
+    seed) pair once, with the bits of a robin_constant call on it alone,
+    whatever the thread count.  Points with equal pairs share their row
+    of kernels; no points give [] and walk nothing.
+    """
+    tds = [_domains.translate_domain(spec, pt, params, inv) for pt in points]
+    row = {job: j for j, job in enumerate(dict.fromkeys(zip(tds, seeds)))}
+    if not row:
+        return []
+    contrib, truncated, _, _ = _contributions(
+        [td for td, _ in row], identity_point(), n_walks,
+        [seed for _, seed in row])
+    return [(td, contrib[row[td, seed]], truncated[row[td, seed]])
+            for td, seed in zip(tds, seeds)]
+
+
 def boundary_behavior_experiment(spec, anchors: Sequence, params,
                                  inv=None,
                                  budget: ExperimentBudget = ExperimentBudget()
@@ -591,30 +609,18 @@ def boundary_behavior_experiment(spec, anchors: Sequence, params,
     As the anchors approach the boundary the distance from the identity to
     the translated boundary shrinks and lambda_hat dives; for the half-plane
     family both the distance (cos theta) and the limit law -1/(4 cos^2
-    theta) are exact.  Every anchor is checked and translated before any
-    walk runs; then one _contributions call walks all the translates
-    through the same live sets, anchor j with its own seed, each row with
-    the bits of a robin_constant call on its translate alone, whatever the
-    thread count.
+    theta) are exact.  _walk_points checks, translates and walks every
+    anchor, anchor j with its own seed; each row has the bits of a
+    robin_constant call on its translate alone.
     """
-    rows, tds, seeds = [], [], []
-    for j, anchor in enumerate(anchors):
-        td = _domains.translate_domain(spec, anchor, params, inv)
-        lo, hi = _domains.distance_to_identity(td)
-        seed = np.random.SeedSequence([budget.seed, j]).generate_state(1)[0]
-        rows.append(dict(anchor_z=complex(anchor[0]),
-                         anchor_w=complex(anchor[1]), theta=td.theta,
-                         dist_lower=lo, dist_upper=hi))
-        tds.append(td)
-        seeds.append(int(seed))
-    if not tds:
-        return []
-    contrib, truncated, _, _ = _contributions(tds, identity_point(),
-                                              budget.n_walks, seeds)
-    return [BoundaryRow(**row, lambda_hat=-float(np.mean(c)),
-                        stderr=_stderr(c), n_walks=budget.n_walks,
-                        truncated_walks=int(t))
-            for row, c, t in zip(rows, contrib, truncated)]
+    anchors = list(anchors)
+    seeds = [int(np.random.SeedSequence([budget.seed, j]).generate_state(1)[0])
+             for j in range(len(anchors))]
+    walked = _walk_points(spec, anchors, seeds, params, inv, budget.n_walks)
+    return [BoundaryRow(complex(a[0]), complex(a[1]), td.theta,
+                        *td.distance_bounds(), -float(np.mean(c)),
+                        _stderr(c), budget.n_walks, int(t))
+            for a, (td, c, t) in zip(anchors, walked)]
 
 
 @dataclass(frozen=True)
@@ -634,13 +640,11 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
     Evaluates the -lambda proxy at anchor and at grid_n points on the circle
     of radius disk_radius in the line t -> anchor + t*direction, and checks
     mean(ring) - center >= -3 sigma.  All line points must stay inside the
-    domain; each is checked and translated before any walk runs, and one
-    _contributions call then walks every translate through the same live
-    sets, with the bits each has alone, whatever the thread count.  Every
-    point runs the same walks (seed budget.seed), so walk i gives one
-    paired difference mean_j(c_j - c_0) of its ring and center kernels;
-    residual is their mean and stderr its standard error.  Points with the
-    same translate walk once and give exact zeros.
+    domain: _walk_points checks each before any walk runs.  Every point
+    runs the same walks (seed budget.seed), so walk i gives one paired
+    difference mean_j(c_j - c_0) of its ring and center kernels; residual
+    is their mean and stderr its standard error.  Points with the same
+    translate share their walks and give exact zeros.
     """
     _require_samples(grid_n, "grid_n", 3)
     _require_nonneg(disk_radius, "disk_radius")
@@ -651,17 +655,9 @@ def psh_spot_check(spec, anchor, direction, disk_radius: float, grid_n: int,
         t = disk_radius * complex(math.cos(2 * math.pi * j / grid_n),
                                   math.sin(2 * math.pi * j / grid_n))
         points.append((z0 + t * dz, w0 + t * dw))
-    tds, unique = [], []
-    for pt in points:
-        if not _domains.evaluate_domain(spec, pt, params, inv).inside:
-            raise EvaluationError(f"line point {pt} leaves the domain")
-        tds.append(spec.translate(pt, params, inv))
-        if tds[-1] not in unique:
-            unique.append(tds[-1])
-    # equal translates on one seed walk alike, so each walks once
-    walks = _contributions(unique, identity_point(), budget.n_walks,
-                           [budget.seed] * len(unique))[0]
-    center, *ring = (walks[unique.index(td)] for td in tds)
+    center, *ring = (c for _, c, _ in _walk_points(
+        spec, points, [budget.seed] * len(points), params, inv,
+        budget.n_walks))
     diff = np.zeros_like(center)
     for c in ring:
         diff += c - center

@@ -228,10 +228,10 @@ def test_criterion_6_robin_oracles():
     merged = {}
     for b, lo in reversed(list(enumerate(starts))):
         merged[b] = np.zeros(min(cfg.block_size, n - lo))
-        _walk_blocks(hs, e, iter([(0, len(merged[b]),
-                                   np.random.default_rng([777, b]))]),
-                     cfg.block_size, cfg.block_size, merged[b], 0.0,
-                     cfg.r_max_factor * 1.0, cfg)
+        _walk_blocks([hs], e, iter([(0, len(merged[b]),
+                                     np.random.default_rng([777, b]))]),
+                     cfg.block_size, cfg.block_size, merged[b][None], 0.0,
+                     [cfg.r_max_factor * 1.0], cfg)
     reordered = -float(np.mean(np.concatenate(
         [merged[b] for b in range(len(starts))])))
     _report("criterion 6: ball/half-space/product-half-plane estimates hit "

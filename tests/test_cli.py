@@ -420,6 +420,58 @@ class TestRobinCommands:
         assert captured.err == f"error: {message}\n"
 
 
+class TestFloatRangeEdges:
+    """Inputs whose intermediate values leave the float range exit 0 or 2,
+    with nothing on stderr on exit 0; each of these exited 1 or warned."""
+
+    @pytest.mark.parametrize("flags", [
+        # log k = 1055.7: math.exp overflowed ("math range error")
+        ["--domain", "sub-level", "--k", "1e300", "--anchor", "1e100,0,1,0"],
+        # log k = -825.5: k underflowed to 0 and numpy warned
+        ["--domain", "super-level", "--k", "1e-300", "--anchor",
+         "1e-100,0,1e-100,0"]])
+    def test_boundary_exp_brackets_the_distance(self, capsys, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(["boundary-exp", "--a-re", "2", "--b-re", "3",
+                         *flags, "--n-walks", "64"])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        doc = json.loads(captured.out)
+        row = dict(zip(doc["columns"], doc["rows"][0]))
+        # each curve runs along a coordinate axis: distance 1
+        assert row["dist_lower"] <= 1.0 <= row["dist_upper"]
+
+    @pytest.mark.parametrize("flags, code", [
+        (["--b-re", "3", "--domain", "sub-level", "--k", "1e-300"], 0),
+        (["--b-re", "1e300", "--domain", "level-band", "--k1", "0.5",
+          "--k2", "2"], 0),
+        # min_levi was nan and pseudoconvex_at_samples false
+        (["--a-re", "1e300", "--b-re", "1e300", "--domain", "level-band",
+          "--k1", "0.5", "--k2", "2"], 2)])
+    def test_levi_scan_exits_0_or_2(self, capsys, flags, code):
+        argv = ["levi-scan", "--a-re", "2", *flags, "--n-samples", "5"]
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        if code == 0:
+            doc = json.loads(captured.out)
+            assert math.isfinite(doc["min_levi"])
+            assert doc["pseudoconvex_at_samples"]
+        else:
+            assert captured.err.endswith("is nan: out of the float range\n")
+
+    @pytest.mark.parametrize("terms, got", [
+        ("[[1.5,0,1.0],[0,2,1.0]]", "(1.5, 0)"),
+        ("[[true,0,1]]", "(True, 0)")])
+    def test_diamond_rejects_non_integer_exponents(self, capsys, terms, got):
+        # both were read as x and exited 0
+        assert main(["diamond", "--p0", terms]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == (
+            "", f"error: bad polynomial terms {terms!r}: exponents must be "
+                f"integers, got {got}\n")
+
+
 class TestParsing:
     def test_missing_subcommand_usage_error(self):
         with pytest.raises(SystemExit):

@@ -244,6 +244,41 @@ class TestDistanceToIdentity:
         lo, hi = distance_to_identity(ModulusRegion(lo_k, hi_k, 1.0))
         assert lo <= d <= hi <= lo + 2.0000001e-10
 
+    @pytest.mark.parametrize("spec, anchor", [
+        # log k = 1055.7 and -825.5: e^log k overflows and underflows
+        (SubLevel(1e300), (1e100 + 0j, 1 + 0j)),
+        (SuperLevel(1e-300), (1e-100 + 0j, 1e-100 + 0j))])
+    def test_modulus_region_with_k_past_the_float_range(self, spec, anchor):
+        # each curve runs along a coordinate axis near (1, 1): distance 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = translate_domain(spec, anchor, P23,
+                                      INV23).distance_bounds()
+        assert lo <= 1.0 <= hi <= lo + 2.0000001e-10
+
+    @pytest.mark.parametrize("lo_k, hi_k", [(-1000.0, math.inf),
+                                            (-math.inf, 1000.0)])
+    def test_modulus_region_line_past_the_float_range(self, lo_k, hi_k):
+        # rho = 1: the line s2 = k s1 with k = e^-1000 or e^1000 is within
+        # 1e-434 of an axis, so 1 away
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = ModulusRegion(lo_k, hi_k, 1.0).distance_bounds()
+        assert lo <= 1.0 <= hi <= lo + 2.0000001e-10
+
+    def test_modulus_region_keeps_a_curve_past_the_float_range(self):
+        # k = e^1000 is no float, but with rho = 1000 the curve s2 = (e
+        # s1)^1000 crosses s2 = 1 at s1 = 1/e: about 1 - 1/e away, not 1
+        from scipy.optimize import minimize_scalar
+        lo, hi = ModulusRegion(-math.inf, 1000.0, 1000.0).distance_bounds()
+        ref = minimize_scalar(  # the curve's point (e^(u/1000 - 1), e^u)
+            lambda u: math.hypot(math.exp(u / 1000.0 - 1.0) - 1.0,
+                                 math.exp(u) - 1.0),
+            bounds=(-3.0, 3.0), method="bounded",
+            options={"xatol": 1e-12}).fun
+        assert lo <= ref <= hi <= lo + 2.0000001e-10
+        assert abs(ref - (1.0 - math.exp(-1.0))) < 1e-7
+
     def test_modulus_region_without_finite_end(self):
         with pytest.raises(EvaluationError,
                            match="^region has no finite boundary$"):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hopfsurf.domains import LevelBand, Nemirovskii
+from hopfsurf.domains import LevelBand, Nemirovskii, SubLevel, SuperLevel
 from hopfsurf.errors import (EvaluationError, InvalidInputError,
                              PreconditionError)
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
@@ -129,6 +129,33 @@ class TestPseudoconvexityScan:
         with pytest.raises(EvaluationError,
                            match="^no boundary points found for this spec$"):
             pseudoconvexity_scan(spec, 3, 1e-6, P23, 7, inv=INV23)
+
+    @pytest.mark.parametrize("spec, params", [
+        (SubLevel(1e-300), P23), (SuperLevel(1e-300), P23),
+        (LevelBand(0.5, 2.0), HopfParams(2 + 0j, 1e300 + 0j))])
+    def test_far_boundary_points_are_levi_flat(self, spec, params):
+        # |z| near 1e189 squared with ** raised OverflowError
+        rep = pseudoconvexity_scan(spec, 5, 1e-6, params, 7)
+        assert rep.pseudoconvex_at_samples
+        assert abs(rep.min_levi) < 1e-6 and abs(rep.max_levi) < 1e-6
+
+    @pytest.mark.parametrize("spec, params", [
+        (LevelBand(0.5, 2.0), HopfParams(1e300 + 0j, 1e300 + 0j)),
+        (SubLevel(1e250), P23)])
+    def test_levi_value_out_of_range_is_an_error(self, spec, params):
+        # these reported min_levi nan (or raised OverflowError)
+        with pytest.raises(EvaluationError,
+                           match=r"^the Levi value at the boundary point .* "
+                                 r"is nan: out of the float range$"):
+            pseudoconvexity_scan(spec, 5, 1e-6, params, 7)
+
+    def test_jet_divisor_underflow_is_an_error(self):
+        # |z|^2 underflows to 0.0: this raised ZeroDivisionError
+        with pytest.raises(EvaluationError,
+                           match=r"z conj\(w\) underflows$"):
+            pseudoconvexity_scan(SuperLevel(1e300), 5, 1e-6, P23, 7)
+        with pytest.raises(EvaluationError, match=r"underflows$"):
+            numeric_jet(_sphere, (1e-170 + 0j, 1.0 + 0j))
 
     @pytest.mark.parametrize("n", [0, -3])
     def test_rejects_bad_sample_counts(self, n):
@@ -441,6 +468,14 @@ class TestRealPoly2:
     def test_rejects_bad_monomials(self, coeffs, message):
         with pytest.raises(InvalidInputError, match=f"^{message}$"):
             RealPoly2(coeffs)
+
+    @pytest.mark.parametrize("i, j", [(1.5, 0), (0, 2.0), (True, 0),
+                                      (0, False), ("2", 0)])
+    def test_rejects_non_integer_exponents(self, i, j):
+        # int() read 1.5 and True as 1, silently
+        with pytest.raises(InvalidInputError, match=re.escape(
+                f"exponents must be integers, got ({i!r}, {j!r})")):
+            RealPoly2({(i, j): 1.0})
 
     def test_complex_coefficient_round_trip(self):
         rng = np.random.default_rng(37)

@@ -224,11 +224,11 @@ class CountingDomain:
 def walk_block(domain, nb, rng, c=0.0, cfg=WosConfig(), r_max=1e3):
     """One block of nb walks from E, alone in a live set:
     (contrib, truncated, escaped)."""
-    contrib = np.zeros(nb)
-    truncated, escaped = _walk_blocks(domain, E, iter([(0, nb, rng)]),
+    contrib = np.zeros((1, nb))
+    truncated, escaped = _walk_blocks([domain], E, iter([(0, nb, rng)]),
                                       cfg.block_size, cfg.block_size,
-                                      contrib, c, r_max, cfg)
-    return contrib, truncated, escaped
+                                      contrib, c, [r_max], cfg)
+    return contrib[0], truncated, escaped
 
 
 def masked_block(domain, nb, rng, eps, r_max, c=0.0, pole=E,
@@ -672,25 +672,26 @@ class TestBatchedProblems:
         if case == "escaping":
             assert escaped.min() > 0
 
-    def test_lone_domain_walk_gives_one_entry_counts(self):
-        # a lone domain with a scalar r_max and a 1-d contrib is a list of
-        # one: its counts are arrays of one entry, robin_constant's counts
+    def test_list_of_one_walk_gives_one_entry_counts(self):
+        # a list of one domain, one r_max and a (1, n) contrib: its counts
+        # are arrays of one entry, robin_constant's counts
         cfg = WosConfig(r_max_factor=3.0, max_steps=30)
         n, seed = 4097, 5
         r_max = cfg.r_max_factor * float(HS.distance(E[None])[0])
-        contrib = np.zeros(n)
+        contrib = np.zeros((1, n))
         blocks = iter([(lo, min(cfg.block_size, n - lo),
                         np.random.default_rng([seed, b]))
                        for b, lo in enumerate(range(0, n, cfg.block_size))])
-        truncated, escaped = _walk_blocks(HS, E, blocks, 2 * cfg.block_size,
+        truncated, escaped = _walk_blocks([HS], E, blocks,
+                                          2 * cfg.block_size,
                                           2 * cfg.block_size, contrib, 0.0,
-                                          r_max, cfg)
+                                          [r_max], cfg)
         est = robin_constant(HS, E, n, seed, config=cfg)
         assert truncated.shape == escaped.shape == (1,)
         assert (truncated[0], escaped[0]) == (est.truncated_walks,
                                               est.escaped_walks)
         assert est.truncated_walks > 0 and est.escaped_walks > 0
-        assert -float(np.mean(contrib)) == est.lambda_hat
+        assert -float(np.mean(contrib[0])) == est.lambda_hat
 
     def test_one_seed_for_every_problem_pairs_the_walks(self):
         # equal problems with equal seeds give equal rows
@@ -1057,7 +1058,9 @@ class TestPshSpotCheck:
         assert len(calls) == 4 + 1
 
     def test_line_point_outside_is_named(self):
-        with pytest.raises(EvaluationError, match="leaves the domain"):
+        msg = ("anchor ((1+0j), (1+0j)) is not inside the domain "
+               "(residual 4.0)")
+        with pytest.raises(EvaluationError, match=f"^{re.escape(msg)}$"):
             psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
                            (0j, 1 + 0j), 2.0, 3, P24, inv=INV24,
                            budget=ExperimentBudget(n_walks=100, seed=5))
@@ -1072,7 +1075,9 @@ class TestPshSpotCheck:
         calls = []
         monkeypatch.setattr(robin, "_contributions",
                             lambda *a, **kw: calls.append(a))
-        msg = f"line point {point} leaves the domain"
+        residual = {2.0: "4.0", 3.0: "0.49999999999999933"}[radius]
+        msg = (f"anchor {point} is not inside the domain "
+               f"(residual {residual})")
         with pytest.raises(EvaluationError, match=f"^{re.escape(msg)}$"):
             psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
                            (0j, direction), radius, 3, P24, inv=INV24,
@@ -1159,6 +1164,54 @@ class TestPshSpotCheck:
             psh_spot_check(Nemirovskii(1.0, 0.0), (1 + 0j, -1 + 0j),
                            (0j, 1 + 0j), radius, 3, P24, inv=INV24,
                            budget=ExperimentBudget(n_walks=100, seed=5))
+
+
+class TestWalkPoints:
+    """Both experiments walk through robin._walk_points: one _contributions
+    call each, holding the distinct (translate, seed) pairs in order."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        contributions = robin._contributions
+
+        def spy(doms, pole, n_walks, seeds, *args, **kw):
+            caller = sys._getframe(1).f_code.co_name
+            calls.append((caller, list(zip(doms, seeds))))
+            return contributions(doms, pole, n_walks, seeds, *args, **kw)
+
+        monkeypatch.setattr(robin, "_contributions", spy)
+        return calls
+
+    def test_boundary_experiment_walks_each_anchor_once(self, calls):
+        # the first two anchors share a translate but not a seed
+        anchors = [(1 + 0j, -1 + 0j), (2 + 0j, -1 + 0j), (1 + 0j, -1 + 0.5j)]
+        boundary_behavior_experiment(
+            Nemirovskii(1.0, 0.0), iter(anchors), P24, inv=INV24,
+            budget=ExperimentBudget(n_walks=100, seed=5))
+        tds = [translate_domain(Nemirovskii(1.0, 0.0), a, P24, INV24)
+               for a in anchors]
+        seeds = [int(np.random.SeedSequence([5, j]).generate_state(1)[0])
+                 for j in range(3)]
+        assert tds[0] == tds[1]
+        assert calls == [("_walk_points", list(zip(tds, seeds)))]
+
+    def test_psh_spot_check_walks_each_translate_once(self, calls):
+        spec, anchor, direction, radius, grid_n, params, inv = \
+            TestPshSpotCheck.LINE
+        psh_spot_check(spec, anchor, direction, radius, grid_n, params, inv,
+                       budget=ExperimentBudget(n_walks=100, seed=5))
+        (z0, w0), (dz, dw) = anchor, direction
+        tds = [translate_domain(spec, (z0 + t * dz, w0 + t * dw), params,
+                                inv)
+               for t in [0.0] + [radius * complex(
+                   math.cos(2 * math.pi * j / grid_n),
+                   math.sin(2 * math.pi * j / grid_n))
+                   for j in range(grid_n)]]
+        # ring point 0 has the center's translate, the other two their own
+        assert tds[1] == tds[0] and len(set(tds)) == 3
+        assert calls == [("_walk_points",
+                          [(td, 5) for td in dict.fromkeys(tds)])]
 
 
 class TestCertifiedModulusDistance:
