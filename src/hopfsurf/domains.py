@@ -169,11 +169,15 @@ class LevelUnion(DomainSpec):
     def boundary_point(self, z, params, inv, rng):
         # z is redrawn: pick |w| in a moderate window and solve
         # |w| = k |z|^rho for |z|; keeping both moduli away from 0
-        # conditions the numeric Levi test of the log-type residual
+        # conditions the numeric Levi test of the log-type residual.  Where
+        # |z|^2 would leave the floats (k far from 1), the window moves by
+        # log k / (1 + rho), to the level's point with log|w| = -log|z|
         ends = [e for e in self.log_bounds if math.isfinite(e)]
         # only a two-sided band draws which end to sample
         log_k = ends[0] if len(ends) == 1 or rng.random() < 0.5 else ends[1]
         lw = rng.uniform(-0.3, math.log(abs(params.b)))
+        if abs(lw - log_k) > 300.0 * params.rho:
+            lw += log_k / (1.0 + params.rho)
         z = math.exp((lw - log_k) / params.rho) * cmath.exp(
             1j * rng.uniform(0, 2 * math.pi))
         w = math.exp(lw) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
@@ -369,6 +373,7 @@ _DIST_GRID = np.linspace(0.0, 1.0, 129)
 _DIST_ZOOM = np.linspace(0.0, 1.0, 65)
 
 
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _curves_distance(log_ks: list[float], rho: float) -> float:
     """Distance from (1, 1) to the nearest curve s2 = k s1^rho, log k in
     log_ks, s1 >= 0, or to a coordinate axis (1 away), within _DIST_TOL.
@@ -382,36 +387,35 @@ def _curves_distance(log_ks: list[float], rho: float) -> float:
     least sample.  The squared distance has at most three critical points
     in s1 > 0 (its derivative is a sum of four powers of s1; Descartes'
     rule of signs), so at most two local minima compete, as they do for a
-    lower end whose curve meets s2 = 1 near s1 = 2.  A k that is a normal
-    float enters as k; any other (past the float range, or subnormal) as
-    e^(log k + ...), whose exponent neither overflows nor loses bits.
+    lower end whose curve meets s2 = 1 near s1 = 2.  A k that is no normal
+    float is searched mirrored in the diagonal, s1 = k' s2^(1/rho) with
+    log k' = -log k / rho (same distance, slack and count of minima); if
+    k' is no normal float either, the curve is within e^-708 of an axis.
     """
-    lk = np.array(log_ks)[:, None]
-    k = np.array([math.exp(x) if x <= _LOG_MAX else math.inf
-                  for x in log_ks])[:, None]
-    normal = (k >= np.finfo(float).tiny) & (k < math.inf)
-
-    def power(t, p, scale=1.0, rows=slice(None)):
-        """scale k t^p, each row of t on its curve's k (of the rows `rows`)."""
-        return np.where(normal[rows], k[rows] * scale * t**p,
-                        scale * np.exp(lk[rows] + p * np.log(t)))
-
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        level = np.where(normal, k ** (-1.0 / rho), np.exp(-lk / rho))
+    groups = {}  # exponent: the k of its curves (1 / rho: the mirrors' k')
+    for lk in log_ks:
+        for p, x in ((rho, lk), (1.0 / rho, -lk / rho)):
+            k = math.exp(x) if x <= _LOG_MAX else math.inf
+            if np.finfo(float).tiny <= k < math.inf:
+                groups.setdefault(p, []).append(k)
+                break
+    best = 1.0
+    for p, ks in groups.items():
+        k = np.array(ks)[:, None]
+        level = k ** (-1.0 / p)
         m = np.minimum(np.minimum(abs(level - 1.0), abs(k - 1.0)), 1.0)
         s = (1.0 - m) + 2.0 * m * _DIST_GRID
-        v = np.hypot(s - 1.0, power(s, rho) - 1.0)
-        slope = np.hypot(1.0, power(s, rho - 1.0, rho))
-        # fmax: a slope at s1 = 0 with rho = 1 in logs is NaN, and the
-        # cell's other end, no smaller, bounds it
+        v = np.hypot(s - 1.0, k * s**p - 1.0)
+        slope = np.hypot(1.0, k * p * s**(p - 1.0))
+        # fmax: the cell's other end bounds a NaN slope (inf * 0 at s1 = 0)
         slack = np.fmax(slope[:, :-1], slope[:, 1:]) * np.diff(s)
-        best = min(m.min(), v.min())
+        best = min(best, m.min(), v.min())
         end, cell = np.nonzero(v[:, :-1] + v[:, 1:] - slack < 2.0 * best)
         lo, hi = s[end, cell], s[end, cell + 1]
         rows, last = np.arange(cell.size), _DIST_ZOOM.size - 1
         while cell.size and (hi - lo).max() > _DIST_TOL:
             t = lo[:, None] + (hi - lo)[:, None] * _DIST_ZOOM
-            v = np.hypot(t - 1.0, power(t, rho, rows=end) - 1.0)
+            v = np.hypot(t - 1.0, k[end] * t**p - 1.0)
             j = v.argmin(axis=1)
             best = min(best, v[rows, j].min())
             lo = t[rows, np.maximum(j - 1, 0)]

@@ -101,8 +101,8 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
     Known limitation: near a coordinate axis the relative step is tiny and
     rounding spoils polynomial residuals: the unit sphere's Levi value 1
     comes out as 1 + 6.4e-5 at a point with |w| ~ 6e-3.  The chain rule
-    divides by |z0|^2, |w0|^2 and z0 conj(w0); EvaluationError when one
-    underflows to 0.
+    divides by |z0|^2, |w0|^2 and z0 conj(w0) (by z0, then conj(w0), when
+    that product overflows); EvaluationError when one underflows to 0.
     """
     z0, w0 = complex(point[0]), complex(point[1])
     s1 = z0 if z0 != 0 else 1.0 + 0j
@@ -148,7 +148,9 @@ def numeric_jet(psi: Callable, point, h: float = 4e-4,
             d_w=d_omega / s2,
             d_zzbar=d_zzb / n1,
             d_wwbar=d_wwb / n2,
-            d_zwbar=d_zwb / n12,
+            # an n12 past the float range divides to NaN
+            d_zwbar=(d_zwb / n12 if cmath.isfinite(n12)
+                     else d_zwb / s1 / s2.conjugate()),
         )
 
     if not richardson:

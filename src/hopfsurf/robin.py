@@ -32,11 +32,12 @@ qualitative estimate left in this module.
 
 Walks run in blocks that own their random streams.  Each thread streams
 blocks through one live set: a block joins, its walks at the pole, whenever
-a whole block fits, and every step moves all live walks at once.  On a
-domain that declares thread_safe, one robin_constant call runs on one
-thread per CPU in the process's affinity mask, at most 2, with at most
-32,768 walks in flight across all threads (or one block per thread, if
-blocks are larger); the estimate has the same bits for any CPU count.
+a whole block fits in the thread's even share of the blocks, and every step
+moves all live walks at once.  On a domain that declares thread_safe, one
+robin_constant call runs on one thread per CPU in the process's affinity
+mask, at most 2, with at most 32,768 walks in flight across all threads (or
+one block per thread, if blocks are larger); the estimate has the same bits
+for any CPU count.
 The walks take one form, a list of walk problems: robin_constant walks a
 list of one, and both experiments walk each distinct (translate, seed)
 pair of their points once in one list (_walk_points), whose blocks share
@@ -265,8 +266,7 @@ def _escape_reach(pole, r_max, max_steps):
     return r_max / 2.0 if drift < r_max / 4.0 else 0.0
 
 
-def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
-                 config):
+def _walk_blocks(domain, pole, blocks, cap, contrib, c_weight, r_max, config):
     """Step blocks of walks from the pole through one live set.
 
     `domain` and `r_max` are equal-length lists of k walk problems and
@@ -274,15 +274,15 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     (k, n) array.  `blocks` is an iterator of (lo, nb, rng): walks lo ..
     lo + nb - 1 of contrib.reshape(-1), all of problem lo // n, whose
     directions rng draws.  A block joins the live set, its walks at the
-    pole, whenever a whole block (config.block_size walks) fits under the
-    cap: `first` walks for the first fill, `cap` after.  Live rows stay in
-    walk order (idx holds their walk numbers), so each problem's live rows
-    form one run, which a step hands to that problem's own distance and
-    project.  Each block draws its live walks' directions into its slice
-    of one buffer, so it sees the stream it would see alone, and its walks
-    still live after config.max_steps steps of its own are truncated.  A
-    walk past the least escape reach is tested against its own problem's
-    r_max.  Writes each ended walk's kernel to its entry of contrib;
+    pole, whenever a whole block (config.block_size walks) fits under
+    cap, the one limit of every fill.  Live rows stay in walk order (idx
+    holds their walk numbers), so each problem's live rows form one run,
+    which a step hands to that problem's own distance and project.  Each
+    block draws its live walks' directions into its slice of one buffer,
+    so it sees the stream it would see alone, and its walks still live
+    after config.max_steps steps of its own are truncated.  A walk past
+    the least escape reach is tested against its own problem's r_max.
+    Writes each ended walk's kernel to its entry of contrib;
     returns (truncated, escaped), arrays of k counts.
     """
     r_max = np.asarray(r_max, dtype=float)
@@ -313,7 +313,6 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
     live = []  # (lo, rng, step it is truncated at) per block, in walk order
     m = t = 0
     truncated, escaped = np.zeros((2, k), dtype=np.intp)
-    limit = first  # walks a fill may bring the live set to
 
     def compact(keep):
         for a in (pos, weight, travel, idx):
@@ -321,7 +320,7 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
         return len(keep)
 
     while True:
-        while m + bs <= limit:
+        while m + bs <= cap:
             blk = next(blocks, None)
             if blk is None:  # none left: fill no more
                 cap = 0
@@ -333,7 +332,6 @@ def _walk_blocks(domain, pole, blocks, first, cap, contrib, c_weight, r_max,
             idx[m:m + nb] = np.arange(lo, lo + nb)
             live.append((lo, rng, t + max_steps))
             m += nb
-        limit = cap
         if not m:
             break
         d = each("distance", idx[:m], pos[:m])
@@ -422,9 +420,9 @@ def _contributions(domain, pole, n_walks: int, seed,
     the process's affinity mask and at most 2; numpy releases the GIL
     inside its array loops, so the threads overlap.  A call that holds any
     other domain object runs on the calling thread alone.  A thread's live
-    set holds at most _WAVE_WALKS // workers walks or one block, whichever
-    is more, so at most max(_WAVE_WALKS, workers * block_size) walks are in
-    flight; its first fill takes at most its even share of the blocks.  Each
+    set has one fill limit: its even share of the blocks, capped at
+    _WAVE_WALKS // workers walks or one block, whichever is more, so at
+    most max(_WAVE_WALKS, workers * block_size) walks are in flight.  Each
     walk's kernel lands at its index, so the result is the same, bit for
     bit, for any number of threads.  An error on any thread stops the
     queue and is raised once every thread has stopped.
@@ -460,8 +458,8 @@ def _contributions(domain, pole, n_walks: int, seed,
     # a thread per block's worth of walks at most: the small blocks of
     # several short problems share one thread, as one such block would
     workers = min(_WORKERS if safe else 1, -(-k * n_walks // bs))
-    cap = max(_WAVE_WALKS // workers, bs)
-    first = min(cap, -(-k * n_blocks // workers) * bs)
+    share = -(-k * n_blocks // workers) * bs  # a thread's even share
+    cap = min(max(_WAVE_WALKS // workers, bs), share)
     contrib = np.zeros((k, n_walks))
     lock = threading.Lock()
     queue = iter(range(k * n_blocks))
@@ -480,8 +478,8 @@ def _contributions(domain, pole, n_walks: int, seed,
 
     def work():
         try:
-            tallies.append(_walk_blocks(domain, pole, blocks(), first, cap,
-                                        contrib, c_weight, r_max, config))
+            tallies.append(_walk_blocks(domain, pole, blocks(), cap, contrib,
+                                        c_weight, r_max, config))
         except BaseException as exc:  # raised below, after every join
             with lock:
                 errors.append(exc)

@@ -230,7 +230,7 @@ def test_criterion_6_robin_oracles():
         merged[b] = np.zeros(min(cfg.block_size, n - lo))
         _walk_blocks([hs], e, iter([(0, len(merged[b]),
                                      np.random.default_rng([777, b]))]),
-                     cfg.block_size, cfg.block_size, merged[b][None], 0.0,
+                     cfg.block_size, merged[b][None], 0.0,
                      [cfg.r_max_factor * 1.0], cfg)
     reordered = -float(np.mean(np.concatenate(
         [merged[b] for b in range(len(starts))])))

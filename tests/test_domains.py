@@ -266,6 +266,16 @@ class TestDistanceToIdentity:
             lo, hi = ModulusRegion(lo_k, hi_k, 1.0).distance_bounds()
         assert lo <= 1.0 <= hi <= lo + 2.0000001e-10
 
+    def test_modulus_region_mixes_a_normal_and_a_mirrored_end(self):
+        # rho = 1: the line s2 = e^0.3 s1 is |k - 1| / hypot(1, k) away;
+        # the line at k = e^-1000, searched mirrored, is 1 away
+        k = math.exp(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            lo, hi = ModulusRegion(-1000.0, 0.3, 1.0).distance_bounds()
+        assert lo <= abs(k - 1.0) / math.hypot(1.0, k) <= hi
+        assert hi <= lo + 2.0000001e-10
+
     def test_modulus_region_keeps_a_curve_past_the_float_range(self):
         # k = e^1000 is no float, but with rho = 1000 the curve s2 = (e
         # s1)^1000 crosses s2 = 1 at s1 = 1/e: about 1 - 1/e away, not 1

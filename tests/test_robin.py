@@ -226,8 +226,8 @@ def walk_block(domain, nb, rng, c=0.0, cfg=WosConfig(), r_max=1e3):
     (contrib, truncated, escaped)."""
     contrib = np.zeros((1, nb))
     truncated, escaped = _walk_blocks([domain], E, iter([(0, nb, rng)]),
-                                      cfg.block_size, cfg.block_size,
-                                      contrib, c, [r_max], cfg)
+                                      cfg.block_size, contrib, c, [r_max],
+                                      cfg)
     return contrib[0], truncated, escaped
 
 
@@ -301,6 +301,23 @@ class TestLiveWalkCompaction:
         assert rows == steps
         # the full-block kernel evaluated about 221 rows per walk here
         assert rows / n < 100
+
+    def test_one_fill_limit_holds_across_refills(self):
+        # five blocks through a live set of two: the first fill and every
+        # refill stop at the one limit
+        cfg, nb, seed = WosConfig(block_size=256), 256, 3
+        r_max = cfg.r_max_factor * 1.0
+        dom = CountingDomain(HS)
+        contrib = np.zeros((1, 5 * nb))
+        blocks = iter([(b * nb, nb, np.random.default_rng([seed, b]))
+                       for b in range(5)])
+        _walk_blocks([dom], E, blocks, 2 * nb, contrib, 0.0, [r_max], cfg)
+        assert dom.rows[0] == max(dom.rows) == 2 * nb
+        assert any(b > a for a, b in zip(dom.rows, dom.rows[1:]))  # refills
+        ref = [masked_block(HS, nb, np.random.default_rng([seed, b]),
+                            cfg.eps_shell, r_max, max_steps=cfg.max_steps)[0]
+               for b in range(5)]
+        assert np.array_equal(contrib[0], np.concatenate(ref))
 
     def test_screened_block_matches_masked_reference(self):
         hs = HalfSpace(normal=(0.0, 0.0, 1.0, 0.0), offset=0.0)
@@ -683,7 +700,6 @@ class TestBatchedProblems:
                         np.random.default_rng([seed, b]))
                        for b, lo in enumerate(range(0, n, cfg.block_size))])
         truncated, escaped = _walk_blocks([HS], E, blocks,
-                                          2 * cfg.block_size,
                                           2 * cfg.block_size, contrib, 0.0,
                                           [r_max], cfg)
         est = robin_constant(HS, E, n, seed, config=cfg)
