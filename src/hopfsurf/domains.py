@@ -170,13 +170,14 @@ class LevelUnion(DomainSpec):
         # z is redrawn: pick |w| in a moderate window and solve
         # |w| = k |z|^rho for |z|; keeping both moduli away from 0
         # conditions the numeric Levi test of the log-type residual.  Where
-        # |z|^2 would leave the floats (k far from 1), the window moves by
-        # log k / (1 + rho), to the level's point with log|w| = -log|z|
+        # |log|z|| would pass 3 (k far from 1), the window moves by
+        # log k / (1 + rho), to the level's point with log|w| = -log|z|:
+        # the jet's chain rule divides rounding noise by |z|^2 |w|^2
         ends = [e for e in self.log_bounds if math.isfinite(e)]
         # only a two-sided band draws which end to sample
         log_k = ends[0] if len(ends) == 1 or rng.random() < 0.5 else ends[1]
         lw = rng.uniform(-0.3, math.log(abs(params.b)))
-        if abs(lw - log_k) > 300.0 * params.rho:
+        if abs(lw - log_k) > 3.0 * params.rho:
             lw += log_k / (1.0 + params.rho)
         z = math.exp((lw - log_k) / params.rho) * cmath.exp(
             1j * rng.uniform(0, 2 * math.pi))

@@ -28,24 +28,12 @@ from hopfsurf.robin import (Ball, HalfSpace, ball_oracle,
                             identity_point, product_half_plane_oracle,
                             robin_constant, solvable_from_translate, WosConfig,
                             _walk_blocks)
-
-P23 = HopfParams(2 + 0j, 3 + 0j)
-INV23 = derive_invariants(P23, Numeric())
-P24 = HopfParams(2 + 0j, 4 + 0j)
-INV24 = derive_invariants(P24, Numeric())
-P2M4 = HopfParams(2 + 0j, -4 + 0j)
-INV2M4 = derive_invariants(P2M4, Numeric())
+from params import P23, INV23, P24, INV24, P2M4, INV2M4, random_point
 
 
 def _report(criterion: str, ok: bool):
     print(f"[{criterion}] {'PASS' if ok else 'FAIL'}")
     assert ok, criterion
-
-
-def _random_point(rng, lo=-2.0, hi=2.0):
-    z = math.exp(rng.uniform(lo, hi)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    w = math.exp(rng.uniform(lo, hi)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    return z, w
 
 
 def test_criterion_1_invariants():
@@ -65,7 +53,7 @@ def test_criterion_2_quotient_round_trip():
                         complex(3 * cmath.exp(-1.3j)))
     ok = True
     for _ in range(1000):
-        z, w = _random_point(rng)
+        z, w = random_point(rng)
         base = reduce_point((z, w), params)
         u0 = u_value((z, w), params)
         for n in range(-10, 11):

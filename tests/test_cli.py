@@ -16,6 +16,10 @@ def run_cli(capsys, *argv):
     return code, (json.loads(out) if out.strip().startswith("{") else out)
 
 
+_BAND = ["--a-re", "2", "--b-re", "3", "--domain", "level-band", "--k1", "0.5",
+         "--k2", "2"]
+
+
 class TestInvariantsCommand:
     def test_case_b2(self, capsys):
         code, doc = run_cli(capsys, "invariants", "--a-re", "2", "--b-re", "-4")
@@ -139,7 +143,9 @@ class TestBoundaryCommands:
         code = main(["diamond", "--p0", "[[2,0,-1],[0,2,-1]]"])
         captured = capsys.readouterr()
         assert code == 0
-        assert json.loads(captured.out)["violation"] == [0.3, 0.0]
+        doc = json.loads(captured.out)
+        assert doc["found"] is False
+        assert doc["violation"] == [0.3, 0.0]
         assert captured.err == ""
 
     def test_sweep_cover(self, capsys):
@@ -174,6 +180,11 @@ class TestBoundaryCommands:
         (["sweep-cover", "--p0", "[[2,0,1]]", "--p1", "[[0,2,1e308]]"],
          "the p1 coefficient 1e+308 of x^0 y^2 has the derivative "
          "coefficient inf"),
+        # a disk of radius 1 about the anchor leaves the band
+        (["psh-check", *_BAND, "--anchor", "1.2,0,1.2,0", "--direction",
+          "0,0,1,0", "--n-walks", "256", "--disk-radius", "1.0"],
+         "anchor ((1.2+0j), (0.19999999999999996+1.2246467991473532e-16j)) "
+         "is not inside the domain (residual 1.2052635624656758)"),
     ])
     def test_out_of_range_exit_2(self, capsys, argv, message):
         # a warning raised as an error would exit 1
@@ -191,6 +202,48 @@ class TestBoundaryCommands:
                                 "--b-re", "1e60")
         assert code == 0
         assert doc["forward_failures"] == doc["backward_failures"] == 0
+
+
+class TestJsonFacts:
+    # a command that exits 0 with nothing on stderr, and one fact of its
+    # JSON output
+    @pytest.mark.parametrize("argv, fact", [
+        (["reduce", "--a-re", "2", "--b-re", "3", "--z-re", "64", "--w-re",
+          "121.5"],
+         lambda d: (d["lift_index"], d["rep_z"], d["rep_w"])
+         == (5, [2.0, 0.0], [0.5, 0.0])),
+        (["fiber", "--a-re", "2", "--b-re", "3", "--unit-field",
+          "--z-prime-re", "1.5", "--n", "10000"],
+         lambda d: d["count"] == 10000),
+        # an escape radius of 3 d0 lets walks escape
+        (["robin", "--shape", "half-space", "--normal", "0", "0", "1", "0",
+          "--pole", "1", "0", "1", "0", "--n-walks", "4096",
+          "--r-max-factor", "3"],
+         lambda d: d["escaped_walks"] > 0),
+        # every point is the center: the paired differences are exact zeros
+        (["psh-check", "--a-re", "2", "--b-re", "4", "--domain",
+          "nemirovskii", "--A", "1", "--B", "0", "--anchor", "1,0,-1,0",
+          "--direction", "0,0,1,0", "--disk-radius", "0", "--n-walks",
+          "256"],
+         lambda d: d["residual"] == d["stderr"] == 0.0),
+        # 7 walks in blocks of 3: the last block is short
+        (["robin", "--shape", "product-half-plane", "--theta",
+          "1.0471975512", "--pole", "1", "0", "1", "0", "--n-walks", "7",
+          "--block-size", "3"],
+         lambda d: d["n_walks"] == 7 and d["truncated_walks"] == 0),
+        (["boundary-exp", "--a-re", "2", "--b-re", "3", "--domain",
+          "super-level", "--k", "1.5", "--anchor", "0.3,0,1.5,0",
+          "--n-walks", "2000"],
+         lambda d: d["rows"][0][d["columns"].index("truncated_walks")] == 0),
+    ], ids=["reduce-lift-index", "fiber-count", "robin-escapes",
+            "psh-zero-disk", "robin-short-block", "super-level-exp"])
+    def test_exit_0_with_the_fact(self, capsys, argv, fact):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main(argv)
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        assert fact(json.loads(captured.out))
 
 
 class TestRobinCommands:
@@ -409,6 +462,8 @@ class TestRobinCommands:
         # was "math domain error", from math.cos
         (["robin", "--shape", "product-half-plane", "--theta", "inf",
           "--pole", "1", "0", "1", "0"], "theta must be finite, got inf"),
+        (["robin", "--shape", "ball", "--radius", "nan", "--pole", "0", "0",
+          "0", "0"], "radius must be positive"),
     ])
     def test_non_finite_input_exit_2(self, capsys, argv, message):
         # a NaN tol used to exit 0 with invalid JSON; the non-finite values
@@ -450,7 +505,10 @@ class TestFloatRangeEdges:
         (["--a-re", "1e300", "--b-re", "1e300", "--domain", "level-band",
           "--k1", "0.5", "--k2", "2"], 0),
         # exited 2: "the jet at ... underflows"
-        (["--b-re", "3", "--domain", "super-level", "--k", "1e300"], 0)])
+        (["--b-re", "3", "--domain", "super-level", "--k", "1e300"], 0),
+        # |z| from 0.01 to 0.03 divided the jet's rounding by |z|^2 |w|^2:
+        # 3 of 5 samples read below -1e-6
+        (["--b-re", "3", "--domain", "sub-level", "--k", "1000"], 0)])
     def test_levi_scan_exits_0_or_2(self, capsys, flags, code):
         argv = ["levi-scan", "--a-re", "2", *flags, "--n-samples", "5"]
         assert main(argv) == code
@@ -501,10 +559,6 @@ class TestParsing:
         captured = capsys.readouterr()
         assert (code, captured.out) == (1, "")
         assert captured.err == "internal error: handler failed\n"
-
-
-_BAND = ["--a-re", "2", "--b-re", "3", "--domain", "level-band", "--k1", "0.5",
-         "--k2", "2"]
 
 
 class TestPshCheckInputs:

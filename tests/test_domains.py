@@ -21,22 +21,10 @@ from hopfsurf.errors import (CaseError, EvaluationError, InvalidInputError,
                              PreconditionError)
 from hopfsurf.flows import VectorField, unit_field
 from hopfsurf import domains, flows, levi, robin
-from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
+from hopfsurf.invariants import HopfParams, derive_invariants
 from hopfsurf.poly import RealPoly2
 from hopfsurf.quotient import reduce_points
-
-P23 = HopfParams(2 + 0j, 3 + 0j)
-INV23 = derive_invariants(P23, Numeric())
-P24 = HopfParams(2 + 0j, 4 + 0j)
-INV24 = derive_invariants(P24, Numeric())
-P2M4 = HopfParams(2 + 0j, -4 + 0j)
-INV2M4 = derive_invariants(P2M4, Numeric())
-
-
-def _random_point(rng, lo=-2.0, hi=2.0):
-    z = math.exp(rng.uniform(lo, hi)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    w = math.exp(rng.uniform(lo, hi)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    return z, w
+from params import P23, INV23, P24, INV24, P2M4, INV2M4, random_point
 
 
 class TestSpecs:
@@ -92,7 +80,7 @@ class TestEvaluateDomain:
         rng = np.random.default_rng(13)
         specs = [LevelBand(0.5, 2.0), SubLevel(1.0), SuperLevel(1.5)]
         for _ in range(200):
-            pt = _random_point(rng)
+            pt = random_point(rng)
             n = int(rng.integers(-4, 5))
             lifted = (pt[0] * P23.a**n, pt[1] * P23.b**n)
             for spec in specs:
@@ -137,7 +125,7 @@ class TestTranslateDomain:
         spec = LevelBand(0.5, 2.0)
         n_found = 0
         for _ in range(200):
-            pt = _random_point(rng)
+            pt = random_point(rng)
             if evaluate_domain(spec, pt, P23, INV23).inside:
                 td = translate_domain(spec, pt, P23, INV23)
                 assert td.residual(1 + 0j, 1 + 0j) < 0
@@ -167,7 +155,7 @@ class TestTranslateDomain:
         spec, anchor = Nemirovskii(0.6, -0.8), (1.5 + 0.2j, -1.8 + 0.9j)
         td = translate_domain(spec, anchor, P24, INV24)
         for _ in range(50):
-            z, w = _random_point(rng)
+            z, w = random_point(rng)
             r = spec.residual(z, w, P24, INV24)
             rt = td.residual(z / anchor[0], w / anchor[1])
             assert np.sign(rt) == np.sign(r)

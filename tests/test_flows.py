@@ -19,11 +19,7 @@ from hopfsurf.flows import (VectorField, _enumerate_fiber, _spiral_rows,
                             star_discrepancy, unit_field)
 from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
 from hopfsurf.quotient import equivalent
-
-P23 = HopfParams(2 + 0j, 3 + 0j)
-INV23 = derive_invariants(P23, Numeric())
-P2M4 = HopfParams(2 + 0j, -4 + 0j)
-INV2M4 = derive_invariants(P2M4, Numeric())
+from params import P23, INV23, P2M4, INV2M4
 
 
 def _inv(a, b):

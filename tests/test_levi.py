@@ -11,16 +11,12 @@ import pytest
 from hopfsurf.domains import LevelBand, Nemirovskii, SubLevel, SuperLevel
 from hopfsurf.errors import (EvaluationError, InvalidInputError,
                              PreconditionError)
-from hopfsurf.invariants import HopfParams, Numeric, derive_invariants
+from hopfsurf.invariants import HopfParams
 from hopfsurf.levi import (BoundaryModel, Jet2, diamond_search, levi2_residual,
                            levi_form, numeric_jet, pseudoconvexity_scan,
                            sweep_cover_check)
 from hopfsurf.poly import ZERO, RealPoly2, from_complex_term
-
-P23 = HopfParams(2 + 0j, 3 + 0j)
-INV23 = derive_invariants(P23, Numeric())
-P24 = HopfParams(2 + 0j, 4 + 0j)
-INV24 = derive_invariants(P24, Numeric())
+from params import P23, INV23, P24, INV24
 
 
 def _sphere(z, w):
@@ -134,11 +130,14 @@ class TestPseudoconvexityScan:
         (SubLevel(1e-300), P23), (SuperLevel(1e-300), P23),
         (LevelBand(0.5, 2.0), HopfParams(2 + 0j, 1e300 + 0j)),
         (LevelBand(0.5, 2.0), HopfParams(1e300 + 0j, 1e300 + 0j)),
-        (SubLevel(1e250), P23), (SuperLevel(1e300), P23)])
+        (SubLevel(1e250), P23), (SuperLevel(1e300), P23),
+        *((kind(k), P23) for kind in (SubLevel, SuperLevel)
+          for k in (1e3, 1e5, 1e20))])
     def test_far_boundary_points_are_levi_flat(self, spec, params):
         # |z| near 1e189 squared with ** raised OverflowError; z conj(w)
         # overflowing reported min_levi nan (1e300 multipliers), and the
-        # last two drew |z| near 1e-190, whose square underflowed
+        # last two drew |z| near 1e-190, whose square underflowed; at k
+        # from 1e3 to 1e20 a small |z| read |Levi| from 1.7e-5 to 3.6e17
         rep = pseudoconvexity_scan(spec, 5, 1e-6, params, 7)
         assert rep.pseudoconvex_at_samples
         assert abs(rep.min_levi) < 1e-6 and abs(rep.max_levi) < 1e-6

@@ -13,7 +13,6 @@ import cmath
 import contextlib
 import io
 import math
-import struct
 import sys
 
 import numpy as np
@@ -34,6 +33,7 @@ from hopfsurf.poly import MAX_DEGREE, RealPoly2
 from hopfsurf.quotient import (_shell_violation, reduce_point, reduce_points,
                                u_value)
 from hopfsurf.robin import HalfSpace, _norm, half_space_from_theta
+from params import complex_bits
 
 EPS = sys.float_info.epsilon
 DBL_MIN, DBL_MAX = sys.float_info.min, sys.float_info.max
@@ -85,10 +85,6 @@ def test_reduce_is_total_over_the_float_range(params, z, w):
     assert _in_shell_or_within_tolerance(pt, params)
 
 
-def _bits(x) -> bytes:
-    return struct.pack("<dd", x.real, x.imag)
-
-
 def _normal(x: complex) -> bool:
     return DBL_MIN <= math.hypot(x.real, x.imag) <= DBL_MAX
 
@@ -131,7 +127,7 @@ def test_reduce_points_matches_reduce_point(params, pts, data):
         assert n[i] == r.lift_index
         for x, y in ((rz[i], r.rep_z), (rw[i], r.rep_w)):
             assert abs(x - y) <= 4 * EPS * abs(y)
-            assert _bits(x) == _bits(y)
+            assert complex_bits(x) == complex_bits(y)
 
 
 @PROPERTY
@@ -511,11 +507,11 @@ def test_smooth_residual_is_the_kind_formula(A, B, z, w, pt):
     params = HopfParams(2 + 0j, 4 + 0j)
     spec = Nemirovskii(A, B)
     got = spec.smooth_residual(pt, params)(z, w)
-    assert _bits(got) == _bits(spec.A * w.real + spec.B * w.imag)
+    assert complex_bits(got) == complex_bits(spec.A * w.real + spec.B * w.imag)
 
     def psi(zz, ww):
         return np.float64(A) * ww.real - B * abs(zz)
 
     got = ImplicitDomain(psi).smooth_residual(pt, params)(z, w)
     assert type(got) is float
-    assert _bits(got) == _bits(float(psi(z, w)))
+    assert complex_bits(got) == complex_bits(float(psi(z, w)))

@@ -3,7 +3,6 @@
 import cmath
 import dataclasses
 import math
-import struct
 import time
 
 import numpy as np
@@ -17,16 +16,11 @@ from hopfsurf.quotient import (HopfPoint, _hopf_point, _in_fundamental_domain,
                                level_membership, reduce_point, reduce_points,
                                u_value)
 from quotient_reference import point_bits, reference_reduce_point
+from params import random_point, complex_bits
 
 PARAMS = HopfParams(2 + 0j, 4 + 0j)
 PARAMS_TWIST = HopfParams(complex(2 * cmath.exp(0.7j)),
                           complex(3 * cmath.exp(-1.3j)))
-
-
-def _random_point(rng, lo=-2.0, hi=2.0):
-    z = math.exp(rng.uniform(lo, hi)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    w = math.exp(rng.uniform(lo, hi)) * cmath.exp(1j * rng.uniform(0, 2 * math.pi))
-    return z, w
 
 
 class TestReducePoint:
@@ -40,7 +34,7 @@ class TestReducePoint:
         rng = np.random.default_rng(0)
         a_abs, b_abs = abs(PARAMS.a), abs(PARAMS.b)
         for _ in range(300):
-            pt = reduce_point(_random_point(rng), PARAMS)
+            pt = reduce_point(random_point(rng), PARAMS)
             z_abs, w_abs = abs(pt.rep_z), abs(pt.rep_w)
             in_e1 = z_abs <= a_abs and 1 < w_abs <= b_abs
             in_e2 = 1 < z_abs <= a_abs and w_abs <= b_abs
@@ -49,7 +43,7 @@ class TestReducePoint:
     def test_round_trip_under_deck_lifts(self):
         rng = np.random.default_rng(1)
         for _ in range(300):
-            z, w = _random_point(rng)
+            z, w = random_point(rng)
             base = reduce_point((z, w), PARAMS_TWIST)
             n = int(rng.integers(-10, 11))
             a, b = PARAMS_TWIST.a, PARAMS_TWIST.b
@@ -180,17 +174,14 @@ class TestExtremeModuli:
                 fn(pt)
 
 
-def _bits(x) -> bytes:
-    return struct.pack("<dd", x.real, x.imag)
-
-
 def _assert_rows_match(z, w, params):
     rz, rw, n = reduce_points(z, w, params)
     assert rz.shape == rw.shape == n.shape == (len(z),)
     for i in range(len(z)):
         pt = reduce_point((complex(z[i]), complex(w[i])), params)
-        assert ((int(n[i]), _bits(rz[i]), _bits(rw[i]))
-                == (pt.lift_index, _bits(pt.rep_z), _bits(pt.rep_w)))
+        assert ((int(n[i]), complex_bits(rz[i]), complex_bits(rw[i]))
+                == (pt.lift_index, complex_bits(pt.rep_z),
+                    complex_bits(pt.rep_w)))
 
 
 class TestReducePoints:
@@ -251,7 +242,7 @@ class TestEquivalent:
     def test_randomized_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(100):
-            p1 = _random_point(rng)
+            p1 = random_point(rng)
             n = int(rng.integers(-5, 6))
             p2 = (p1[0] * PARAMS.a**n, p1[1] * PARAMS.b**n)
             assert equivalent(p1, p2, PARAMS, 1e-9)
@@ -262,7 +253,7 @@ class TestUValue:
     def test_deck_invariance(self):
         rng = np.random.default_rng(3)
         for _ in range(200):
-            z, w = _random_point(rng)
+            z, w = random_point(rng)
             u0 = u_value((z, w), PARAMS_TWIST)
             n = int(rng.integers(-10, 11))
             un = u_value((z * PARAMS_TWIST.a**n, w * PARAMS_TWIST.b**n),

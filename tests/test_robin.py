@@ -27,11 +27,8 @@ from hopfsurf.robin import (Ball, ExperimentBudget, HalfSpace, WosConfig,
                             identity_point, kernel, product_half_plane_oracle,
                             psh_spot_check, robin_constant,
                             solvable_from_translate)
+from params import P23, INV23, P24, INV24
 
-P23 = HopfParams(2 + 0j, 3 + 0j)
-INV23 = derive_invariants(P23, Numeric())
-P24 = HopfParams(2 + 0j, 4 + 0j)
-INV24 = derive_invariants(P24, Numeric())
 E = identity_point()
 
 
